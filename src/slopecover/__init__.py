@@ -34,11 +34,8 @@ from slopecover.coverage import (
 from slopecover.graph import (
     CoverageGraph,
     DisconnectedGridError,
-    GraphEdge,
-    GridNode,
     average_slope,
     build_graph,
-    dump_edges,
 )
 from slopecover.spanning import (
     SpanningTree,
@@ -77,8 +74,6 @@ __all__ = [
     "CoveragePath",
     "DisconnectedGridError",
     "FineCell",
-    "GraphEdge",
-    "GridNode",
     "HeightGrid",
     "MegaGrid",
     "PathMismatchError",
@@ -95,7 +90,6 @@ __all__ = [
     "circumnavigate",
     "classical_spanning_tree",
     "count_sacrificed_cells",
-    "dump_edges",
     "edge_weight",
     "format_csv",
     "format_height_grid",

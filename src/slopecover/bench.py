@@ -137,13 +137,15 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
             raise TerrainGenerationError(f"terrain {i}: {exc}") from exc
         mega = aggregate(grid)
         slope = average_slope(mega)
+        baseline = None
         for spec in cfg.weight_specs:
             try:
                 graph = build_graph(mega, spec)
             except DisconnectedGridError as exc:
                 raise DisconnectedGridError(exc.components, detail=f"terrain {i}") from exc
             mst = minimum_spanning_tree(graph)
-            baseline = classical_spanning_tree(graph)
+            if baseline is None:  # weight-blind, so one tree serves every spec
+                baseline = classical_spanning_tree(graph)
             mst_weight = tree_weight(mst, spec)
             classical_weight = tree_weight(baseline, spec)
             records.append(

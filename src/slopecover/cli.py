@@ -9,6 +9,7 @@ go to standard error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -23,8 +24,13 @@ from slopecover.coverage import (
     save_path,
     validate_path,
 )
-from slopecover.graph import DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.graph import CoverageGraph, DisconnectedGridError, average_slope, build_graph
+from slopecover.spanning import (
+    SpanningTree,
+    classical_spanning_tree,
+    minimum_spanning_tree,
+    tree_weight,
+)
 from slopecover.terrain import (
     TerrainGenerationError,
     TerrainGenSpec,
@@ -183,15 +189,19 @@ def cmd_gen_terrain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _spanning_tree(graph: CoverageGraph, method: str) -> SpanningTree:
+    """The tree --method names. The builders are looked up as module globals
+    at call time, so wrappers installed on this module see the call."""
+    if method == "mst":
+        return minimum_spanning_tree(graph)
+    return classical_spanning_tree(graph)
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     grid = load_height_grid(args.terrain)
     mega = aggregate(grid)
     spec = WeightSpec.from_token(args.weight)
-    graph = build_graph(mega, spec)
-    if args.method == "mst":
-        tree = minimum_spanning_tree(graph)
-    else:
-        tree = classical_spanning_tree(graph)
+    tree = _spanning_tree(build_graph(mega, spec), args.method)
     path = circumnavigate(tree, mega)
     try:
         slope = average_slope(mega)
@@ -282,17 +292,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    if not 0 < args.cell_px < math.inf:
+        return _fail(EXIT_USAGE, f"--cell-px must be positive and finite, got {args.cell_px}")
     grid = load_height_grid(args.terrain)
     path = load_path_file(args.path)
     validate_path(path, grid)
     tree = None
     if args.show_tree:
-        mega = aggregate(grid)
-        graph = build_graph(mega, WeightSpec.from_token(args.weight))
-        if args.method == "mst":
-            tree = minimum_spanning_tree(graph)
-        else:
-            tree = classical_spanning_tree(graph)
+        graph = build_graph(aggregate(grid), WeightSpec.from_token(args.weight))
+        tree = _spanning_tree(graph, args.method)
     text = svg_mod.render_svg(grid, path, tree=tree, cell_px=args.cell_px)
     with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

@@ -9,11 +9,12 @@ from typing import NamedTuple
 import numpy as np
 
 from slopecover.spanning import SpanningTree
-from slopecover.terrain import HeightGrid, MegaGrid
+from slopecover.terrain import HeightGrid, MegaGrid, blocked_mega_cells
 from slopecover.weights import WeightSpec, edge_weight
 
-# sub-cell corners of a mega cell, clockwise starting top-left
-_NW, _NE, _SE, _SW = range(4)
+# (row, col) offsets of the sub-cell corners of a mega cell, clockwise
+# starting top-left: NW, NE, SE, SW
+_CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
 class FineCell(NamedTuple):
@@ -46,7 +47,7 @@ def circumnavigate(tree: SpanningTree, mega: MegaGrid) -> CoveragePath:
     incident tree edge it crosses into the neighbouring mega cell instead.
     Every fine cell of every free mega cell is visited exactly once, and the
     walk crosses between mega cells only over tree edges. Starts at the
-    top-left sub-cell of the root mega cell.
+    top-left sub-cell of node 0, the first free mega cell in row-major order.
     """
     g = tree.graph
     if (
@@ -56,46 +57,30 @@ def circumnavigate(tree: SpanningTree, mega: MegaGrid) -> CoveragePath:
     ):
         raise ValueError("mega grid does not match the tree's graph")
     n = len(g.nodes)
-    has_up = bytearray(n)
-    has_right = bytearray(n)
-    has_down = bytearray(n)
-    has_left = bytearray(n)
-    for e in tree.edges:
-        na, nb = g.nodes[e.a], g.nodes[e.b]
-        if na.row == nb.row:  # b east of a (canonical order)
-            has_right[e.a] = 1
-            has_left[e.b] = 1
-        else:  # b south of a
-            has_down[e.a] = 1
-            has_up[e.b] = 1
-
-    start = (tree.root.index, _NW)
-    state = start
-    cells: list[FineCell] = []
-    for _ in range(4 * n):
-        u, corner = state
-        node = g.nodes[u]
-        base_r, base_c = 2 * node.row, 2 * node.col
-        if corner == _NW:
-            cells.append(FineCell(base_r, base_c))
-            state = (g.node_at(node.row - 1, node.col), _SW) if has_up[u] else (u, _NE)
-        elif corner == _NE:
-            cells.append(FineCell(base_r, base_c + 1))
-            state = (g.node_at(node.row, node.col + 1), _NW) if has_right[u] else (u, _SE)
-        elif corner == _SE:
-            cells.append(FineCell(base_r + 1, base_c + 1))
-            state = (g.node_at(node.row + 1, node.col), _NE) if has_down[u] else (u, _SW)
-        else:  # _SW
-            cells.append(FineCell(base_r + 1, base_c))
-            state = (g.node_at(node.row, node.col - 1), _SE) if has_left[u] else (u, _NW)
-        if state == start:
-            break
+    # state 4u + k is corner k of node u. From corner k the walk crosses the
+    # tree edge in direction k (up, right, down, left), if any, arriving at
+    # the corner before k of the neighbour; otherwise it turns to corner k + 1.
+    incident = g.incident_edges()
+    crossing = np.isin(incident, tree.edges)
+    successor = np.arange(4 * n).reshape(n, 4) + (1, 1, 1, -3)
+    u, k = np.nonzero(crossing)
+    neighbour = g.edges[incident[crossing]].sum(axis=1) - u
+    successor[crossing] = 4 * neighbour + (k + 3) % 4
+    successor = successor.ravel().tolist()
+    # successor is a permutation of the states, so the walk returns to state 0
+    order = [0]
+    state = successor[0]
+    while state:
+        order.append(state)
+        state = successor[state]
+    rows, cols = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2)[order].T.tolist()
+    cells = tuple(map(FineCell, rows, cols))
     if len(cells) != 4 * n:
         raise ValueError(
             f"tree walk covered {len(cells)} of {4 * n} fine cells; "
             "the tree does not span all free mega cells"
         )
-    return CoveragePath(cells=tuple(cells), closed=True)
+    return CoveragePath(cells=cells, closed=True)
 
 
 def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
@@ -115,8 +100,7 @@ def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
 
 def count_sacrificed_cells(grid: HeightGrid) -> int:
     """Free fine cells that cannot be covered because their mega cell is blocked."""
-    half_rows, half_cols = grid.rows // 2, grid.cols // 2
-    blocked = grid.obstacle.reshape(half_rows, 2, half_cols, 2).any(axis=(1, 3))
+    blocked = blocked_mega_cells(grid.obstacle)
     fine_blocked = blocked.repeat(2, axis=0).repeat(2, axis=1)
     return int((fine_blocked & ~grid.obstacle).sum())
 
@@ -128,8 +112,7 @@ def validate_path(path: CoveragePath, grid: HeightGrid) -> None:
     cells = path.cells
     if not cells:
         raise PathMismatchError("path is empty")
-    half_rows, half_cols = grid.rows // 2, grid.cols // 2
-    blocked = grid.obstacle.reshape(half_rows, 2, half_cols, 2).any(axis=(1, 3))
+    blocked = blocked_mega_cells(grid.obstacle)
     expected = 4 * int((~blocked).sum())
     if len(cells) != expected:
         raise PathMismatchError(

@@ -3,28 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from slopecover.terrain import MegaGrid
+from slopecover.terrain import MegaGrid, component_count, slope_sum
 from slopecover.weights import WeightSpec, edge_weight
-
-
-class GridNode(NamedTuple):
-    """A free mega cell; index is its row-major rank among free cells."""
-
-    index: int
-    row: int
-    col: int
-
-
-class GraphEdge(NamedTuple):
-    """Undirected edge between two 4-adjacent free mega cells, stored once with a < b."""
-
-    a: int
-    b: int
-    weight: float
 
 
 class DisconnectedGridError(ValueError):
@@ -40,29 +23,31 @@ class DisconnectedGridError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CoverageGraph:
-    """Immutable graph over free mega cells with deterministic row-major ordering."""
+    """Immutable graph over free mega cells, stored as arrays.
+
+    node_index is the (R, C) grid of node indices, -1 where blocked; nodes is
+    the (n, 2) array of mega (row, col), row-major. edges is the (E, 2) array
+    of node pairs (a, b) with a < b, enumerated row-major, right then down,
+    and weight holds their (E,) costs under spec. edge_at is (R, C, 2): the
+    index of each cell's right and down edge, or -1.
+    """
 
     mega: MegaGrid
     spec: WeightSpec
-    nodes: tuple[GridNode, ...]
-    edges: tuple[GraphEdge, ...]
     node_index: np.ndarray
-    pair_edges: dict[tuple[int, int], int]
+    nodes: np.ndarray
+    edges: np.ndarray
+    weight: np.ndarray
+    edge_at: np.ndarray
 
-    def node_at(self, row: int, col: int) -> int | None:
-        """Node index of the free mega cell at (row, col), or None."""
-        if 0 <= row < self.mega.rows and 0 <= col < self.mega.cols:
-            i = int(self.node_index[row, col])
-            if i >= 0:
-                return i
-        return None
-
-    def edge_index_between(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        try:
-            return self.pair_edges[key]
-        except KeyError:
-            raise ValueError(f"nodes {a} and {b} are not adjacent") from None
+    def incident_edges(self) -> np.ndarray:
+        """(n, 4) index of each node's up, right, down and left edge, or -1."""
+        at = self.edge_at
+        up = np.full(at.shape[:2], -1, dtype=np.int64)
+        up[1:] = at[:-1, :, 1]
+        left = np.full(at.shape[:2], -1, dtype=np.int64)
+        left[:, 1:] = at[:, :-1, 0]
+        return np.stack((up, at[..., 0], at[..., 1], left), axis=-1)[self.node_index >= 0]
 
 
 def build_graph(mega: MegaGrid, spec: WeightSpec) -> CoverageGraph:
@@ -75,68 +60,49 @@ def build_graph(mega: MegaGrid, spec: WeightSpec) -> CoverageGraph:
     free = ~mega.blocked
     if not free.any():
         raise ValueError("mega grid has no free cells")
-    node_index = np.full((mega.rows, mega.cols), -1, dtype=np.int32)
-    nodes: list[GridNode] = []
-    for r in range(mega.rows):
-        for c in range(mega.cols):
-            if free[r, c]:
-                node_index[r, c] = len(nodes)
-                nodes.append(GridNode(len(nodes), r, c))
-    node_index.setflags(write=False)
-    heights = mega.heights
-    d = mega.spacing
-    edges: list[GraphEdge] = []
-    pair_edges: dict[tuple[int, int], int] = {}
-    for node in nodes:
-        r, c = node.row, node.col
-        for nr, nc in ((r, c + 1), (r + 1, c)):
-            if nr < mega.rows and nc < mega.cols and free[nr, nc]:
-                j = int(node_index[nr, nc])
-                pair_edges[(node.index, j)] = len(edges)
-                edges.append(
-                    GraphEdge(
-                        node.index,
-                        j,
-                        edge_weight(spec, float(heights[r, c]), float(heights[nr, nc]), d),
-                    )
-                )
+    components = component_count(free)
+    if components != 1:
+        raise DisconnectedGridError(components)
+    node_index = np.full(free.shape, -1, dtype=np.int64)
+    node_index[free] = np.arange(int(free.sum()))
+    # has_edge[r, c, k]: cell (r, c) has a right (k = 0) or down (k = 1) edge;
+    # its row-major flat order is the canonical edge order
+    has_edge = np.zeros((mega.rows, mega.cols, 2), dtype=bool)
+    has_edge[:, :-1, 0] = free[:, :-1] & free[:, 1:]
+    has_edge[:-1, :, 1] = free[:-1, :] & free[1:, :]
+    flat = np.flatnonzero(has_edge)
+    edge_at = np.full(has_edge.shape, -1, dtype=np.int64)
+    edge_at.flat[flat] = np.arange(len(flat))
+    cell, down = np.divmod(flat, 2)
+    row, col = np.divmod(cell, mega.cols)
+    edges = np.stack((node_index[row, col], node_index[row + down, col + 1 - down]), axis=1)
     graph = CoverageGraph(
         mega=mega,
         spec=spec,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
         node_index=node_index,
-        pair_edges=pair_edges,
+        nodes=np.argwhere(free),
+        edges=edges,
+        weight=_edge_weights(mega, spec, edges),
+        edge_at=edge_at,
     )
-    components = _component_count(graph)
-    if components != 1:
-        raise DisconnectedGridError(components)
+    for array in (graph.node_index, graph.nodes, graph.edges, graph.weight, graph.edge_at):
+        array.setflags(write=False)
     return graph
 
 
-def _component_count(graph: CoverageGraph) -> int:
-    n = len(graph.nodes)
-    seen = [False] * n
-    components = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        components += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            r, c = graph.nodes[u].row, graph.nodes[u].col
-            for v in (
-                graph.node_at(r - 1, c),
-                graph.node_at(r, c + 1),
-                graph.node_at(r + 1, c),
-                graph.node_at(r, c - 1),
-            ):
-                if v is not None and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-    return components
+def _edge_weights(mega: MegaGrid, spec: WeightSpec, edges: np.ndarray) -> np.ndarray:
+    """edge_weight of each (a, b) node pair, evaluated on Python floats.
+
+    The scalar function is the spec: a vectorised np.hypot differs from
+    math.hypot in the last bit on some inputs.
+    """
+    node_heights = mega.heights[~mega.blocked]
+    d = mega.spacing
+    weights = [
+        edge_weight(spec, h1, h2, d)
+        for h1, h2 in zip(node_heights[edges[:, 0]].tolist(), node_heights[edges[:, 1]].tolist())
+    ]
+    return np.array(weights, dtype=np.float64)
 
 
 def average_slope(mega: MegaGrid) -> float:
@@ -145,22 +111,7 @@ def average_slope(mega: MegaGrid) -> float:
     Blocked pairs do not count. Raises ValueError when no adjacent free pair
     exists (fewer than two free cells, or all free cells isolated).
     """
-    free = ~mega.blocked
-    heights = mega.heights
-    horizontal = free[:, :-1] & free[:, 1:]
-    vertical = free[:-1, :] & free[1:, :]
-    count = int(horizontal.sum()) + int(vertical.sum())
+    total, count = slope_sum(mega.heights, mega.blocked)
     if count == 0:
         raise ValueError("average slope undefined: free mega cells form no adjacent pair")
-    total = float(np.abs(heights[:, 1:] - heights[:, :-1])[horizontal].sum())
-    total += float(np.abs(heights[1:, :] - heights[:-1, :])[vertical].sum())
     return total / (mega.spacing * count)
-
-
-def dump_edges(graph: CoverageGraph) -> str:
-    """Debug edge list, one `a_row a_col b_row b_col weight` line per edge."""
-    lines = []
-    for e in graph.edges:
-        na, nb = graph.nodes[e.a], graph.nodes[e.b]
-        lines.append(f"{na.row} {na.col} {nb.row} {nb.col} {e.weight:.9g}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -4,42 +4,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from slopecover.graph import CoverageGraph, GraphEdge, GridNode
-from slopecover.weights import WeightSpec, edge_weight
+import numpy as np
 
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
+from slopecover.graph import CoverageGraph, _edge_weights
+from slopecover.weights import WeightSpec
 
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Acyclic edge subset connecting all nodes; edges kept in canonical graph order."""
+    """Acyclic edge subset connecting all nodes, rooted at node 0.
+
+    edges is a sorted int64 array of indices into graph.edges.
+    """
 
     graph: CoverageGraph
-    edges: tuple[GraphEdge, ...]
-    root: GridNode
+    edges: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.edges.setflags(write=False)
 
 
 def minimum_spanning_tree(g: CoverageGraph) -> SpanningTree:
@@ -49,23 +31,33 @@ def minimum_spanning_tree(g: CoverageGraph) -> SpanningTree:
     by edge index, so equal-weight graphs always yield the same tree.
     """
     n = len(g.nodes)
-    order = sorted(range(len(g.edges)), key=lambda i: g.edges[i].weight)
-    uf = _UnionFind(n)
+    a = g.edges[:, 0].tolist()
+    b = g.edges[:, 1].tolist()
+    parent = list(range(n))
     chosen: list[int] = []
-    for i in order:
-        e = g.edges[i]
-        if uf.union(e.a, e.b):
+    for i in np.argsort(g.weight, kind="stable").tolist():
+        # find both roots, halving the paths on the way
+        ra = a[i]
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        rb = b[i]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra != rb:
+            parent[ra] = rb
             chosen.append(i)
             if len(chosen) == n - 1:
                 break
-    chosen.sort()
-    return SpanningTree(graph=g, edges=tuple(g.edges[i] for i in chosen), root=g.nodes[0])
+    return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
 
 
 def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     """Weight-blind spanning tree: depth-first from the root, neighbours tried
     up, right, down, left. Deterministic representative of the unit-weight
     approach, where any spanning tree is minimal."""
+    # pushed reversed so pops explore up, right, down, left
+    incident = g.incident_edges()[:, ::-1].tolist()
+    ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
     visited = [False] * len(g.nodes)
     chosen: list[int] = []
     stack: list[tuple[int, int]] = [(0, -1)]
@@ -76,29 +68,20 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
         visited[u] = True
         if via >= 0:
             chosen.append(via)
-        r, c = g.nodes[u].row, g.nodes[u].col
-        # pushed reversed so pops explore up, right, down, left
-        for dr, dc in ((0, -1), (1, 0), (0, 1), (-1, 0)):
-            v = g.node_at(r + dr, c + dc)
-            if v is not None and not visited[v]:
-                stack.append((v, g.edge_index_between(u, v)))
-    chosen.sort()
-    return SpanningTree(graph=g, edges=tuple(g.edges[i] for i in chosen), root=g.nodes[0])
+        for e in incident[u]:
+            if e >= 0 and not visited[ends[e] - u]:
+                stack.append((ends[e] - u, e))
+    return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
 
 
 def tree_weight(tree: SpanningTree, spec: WeightSpec) -> float:
-    """Total edge cost re-evaluated under spec.
+    """Total edge cost re-evaluated under spec, summed in canonical edge order.
 
     spec may differ from the spec the tree was built with; the baseline tree
     is built weight-blind but costed with slope-aware weights.
     """
-    mega = tree.graph.mega
-    heights = mega.heights
+    g = tree.graph
     total = 0.0
-    for e in tree.edges:
-        na = tree.graph.nodes[e.a]
-        nb = tree.graph.nodes[e.b]
-        total += edge_weight(
-            spec, float(heights[na.row, na.col]), float(heights[nb.row, nb.col]), mega.spacing
-        )
+    for w in _edge_weights(g.mega, spec, g.edges[tree.edges]).tolist():
+        total += w
     return total

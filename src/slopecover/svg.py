@@ -49,12 +49,11 @@ def render_svg(
                 f'<rect x="{c * s:g}" y="{r * s:g}" width="{s:g}" height="{s:g}" fill="{fill}"/>'
             )
     if tree is not None:
-        nodes = tree.graph.nodes
-        for e in tree.edges:
-            na, nb = nodes[e.a], nodes[e.b]
+        g = tree.graph
+        for (ra, ca), (rb, cb) in g.nodes[g.edges[tree.edges]].tolist():
             lines.append(
-                f'<line x1="{(2 * na.col + 1) * s:g}" y1="{(2 * na.row + 1) * s:g}" '
-                f'x2="{(2 * nb.col + 1) * s:g}" y2="{(2 * nb.row + 1) * s:g}" '
+                f'<line x1="{(2 * ca + 1) * s:g}" y1="{(2 * ra + 1) * s:g}" '
+                f'x2="{(2 * cb + 1) * s:g}" y2="{(2 * rb + 1) * s:g}" '
                 f'stroke="{_TREE_STROKE}" stroke-width="{0.3 * s:g}"/>'
             )
     points = list(path.cells)

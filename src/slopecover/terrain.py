@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,11 @@ class TerrainParseError(ValueError):
 
 class TerrainGenerationError(RuntimeError):
     """No connected obstacle layout was found within the retry budget."""
+
+
+def _check_spacing(spacing: float) -> None:
+    if not 0 < spacing < math.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,8 +52,7 @@ class HeightGrid:
             raise ValueError(
                 f"grid dimensions must be even so 2x2 aggregation is exact, got {self.rows}x{self.cols}"
             )
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
         heights = np.asarray(self.heights, dtype=np.float64)
         obstacle = np.asarray(self.obstacle, dtype=bool)
         if heights.size != self.rows * self.cols:
@@ -80,8 +85,7 @@ class MegaGrid:
         object.__setattr__(self, "spacing", float(self.spacing))
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
         heights = np.asarray(self.heights, dtype=np.float64)
         blocked = np.asarray(self.blocked, dtype=bool)
         if heights.size != self.rows * self.cols:
@@ -127,8 +131,7 @@ class TerrainGenSpec:
             raise ValueError(f"max_obstacles must be non-negative, got {self.max_obstacles}")
         if not 0.0 <= self.roughness <= 1.0:
             raise ValueError(f"roughness must lie in [0, 1], got {self.roughness}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
 
 
 def aggregate(grid: HeightGrid) -> MegaGrid:
@@ -141,14 +144,30 @@ def aggregate(grid: HeightGrid) -> MegaGrid:
     half_rows, half_cols = grid.rows // 2, grid.cols // 2
     blocks = grid.heights.reshape(half_rows, 2, half_cols, 2)
     mega_heights = blocks.mean(axis=(1, 3))
-    blocked = grid.obstacle.reshape(half_rows, 2, half_cols, 2).any(axis=(1, 3))
     return MegaGrid(
         rows=half_rows,
         cols=half_cols,
         heights=mega_heights,
-        blocked=blocked,
+        blocked=blocked_mega_cells(grid.obstacle),
         spacing=2.0 * grid.spacing,
     )
+
+
+def blocked_mega_cells(obstacle: np.ndarray) -> np.ndarray:
+    """Mega-cell mask of a fine obstacle mask: True where any of the 2x2 cells is an obstacle."""
+    rows, cols = obstacle.shape
+    return obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
+
+
+def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:
+    """Sum of |height difference| over 4-adjacent free pairs, and the pair count."""
+    free = ~blocked
+    horizontal = free[:, :-1] & free[:, 1:]
+    vertical = free[:-1, :] & free[1:, :]
+    count = int(horizontal.sum()) + int(vertical.sum())
+    total = float(np.abs(heights[:, 1:] - heights[:, :-1])[horizontal].sum())
+    total += float(np.abs(heights[1:, :] - heights[:-1, :])[vertical].sum())
+    return total, count
 
 
 def parse_height_grid(text: str) -> HeightGrid:
@@ -234,12 +253,11 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     """
     rng = np.random.default_rng(spec.seed)
     field = _midpoint_displacement(rng, spec.rows, spec.cols)
-    half_rows, half_cols = spec.rows // 2, spec.cols // 2
     for _ in range(_GENERATION_ATTEMPTS):
         obstacle = _place_obstacles(rng, spec.rows, spec.cols, spec.max_obstacles)
-        blocked = obstacle.reshape(half_rows, 2, half_cols, 2).any(axis=(1, 3))
+        blocked = blocked_mega_cells(obstacle)
         free = ~blocked
-        if free.any() and _component_count(free) == 1:
+        if free.any() and component_count(free) == 1:
             break
     else:
         raise TerrainGenerationError(
@@ -305,22 +323,23 @@ def _place_obstacles(
     return obstacle
 
 
-def _component_count(mask: np.ndarray) -> int:
+def component_count(mask: np.ndarray) -> int:
     """Number of 4-connected regions of True cells."""
     rows, cols = mask.shape
-    seen = np.zeros(mask.shape, dtype=bool)
+    cells = mask.tolist()
+    seen = [[False] * cols for _ in range(rows)]
     count = 0
-    for r0, c0 in zip(*np.nonzero(mask)):
-        if seen[r0, c0]:
+    for r0, c0 in np.argwhere(mask).tolist():
+        if seen[r0][c0]:
             continue
         count += 1
-        seen[r0, c0] = True
-        queue: deque[tuple[int, int]] = deque([(int(r0), int(c0))])
+        seen[r0][c0] = True
+        queue: deque[tuple[int, int]] = deque([(r0, c0)])
         while queue:
             r, c = queue.popleft()
             for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= nr < rows and 0 <= nc < cols and mask[nr, nc] and not seen[nr, nc]:
-                    seen[nr, nc] = True
+                if 0 <= nr < rows and 0 <= nc < cols and cells[nr][nc] and not seen[nr][nc]:
+                    seen[nr][nc] = True
                     queue.append((nr, nc))
     return count
 
@@ -329,13 +348,8 @@ def _calibrate_slope(field: np.ndarray, blocked: np.ndarray, spec: TerrainGenSpe
     """Rescale the noise field so the aggregated average slope equals spec.roughness."""
     half_rows, half_cols = spec.rows // 2, spec.cols // 2
     mega = field.reshape(half_rows, 2, half_cols, 2).mean(axis=(1, 3))
-    free = ~blocked
     d = 2.0 * spec.spacing
-    horizontal = free[:, :-1] & free[:, 1:]
-    vertical = free[:-1, :] & free[1:, :]
-    count = int(horizontal.sum()) + int(vertical.sum())
-    total = float(np.abs(mega[:, 1:] - mega[:, :-1])[horizontal].sum())
-    total += float(np.abs(mega[1:, :] - mega[:-1, :])[vertical].sum())
+    total, count = slope_sum(mega, blocked)
     if count > 0 and total > 0.0:
         return field * (spec.roughness * d * count / total)
     # no free adjacent pair (single mega cell): slope target is undefined

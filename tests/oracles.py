@@ -56,19 +56,34 @@ def brute_force_min_spanning_weight(graph: CoverageGraph) -> float:
         joined = 0
         acyclic = True
         for i in combo:
-            edge = graph.edges[i]
-            ra, rb = find(edge.a), find(edge.b)
+            a, b = graph.edges[i]
+            ra, rb = find(int(a)), find(int(b))
             if ra == rb:
                 acyclic = False
                 break
             parent[ra] = rb
             joined += 1
         if acyclic and joined == n - 1:
-            weight = sum(graph.edges[i].weight for i in combo)
+            weight = sum(float(graph.weight[i]) for i in combo)
             if best is None or weight < best:
                 best = weight
     assert best is not None, "graph passed to the oracle must be connected"
     return best
+
+
+def enumerate_edges(mega: MegaGrid) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Free mega cells in row-major order, and the 4-adjacent pairs of their
+    indices, visiting each cell's right then down neighbour."""
+    cells = [
+        (r, c) for r in range(mega.rows) for c in range(mega.cols) if not mega.blocked[r, c]
+    ]
+    index = {cell: i for i, cell in enumerate(cells)}
+    pairs = []
+    for i, (r, c) in enumerate(cells):
+        for neighbour in ((r, c + 1), (r + 1, c)):
+            if neighbour in index:
+                pairs.append((i, index[neighbour]))
+    return cells, pairs
 
 
 def random_connected_mega(
@@ -149,11 +164,11 @@ def coverage_violations(path: CoveragePath, grid: HeightGrid) -> list[str]:
 
 def tree_crossing_violations(path: CoveragePath, tree: SpanningTree) -> list[str]:
     """Every move between different mega cells must cross a tree edge."""
+    g = tree.graph
     tree_pairs = set()
-    for e in tree.edges:
-        na = tree.graph.nodes[e.a]
-        nb = tree.graph.nodes[e.b]
-        tree_pairs.add(frozenset(((na.row, na.col), (nb.row, nb.col))))
+    for i in tree.edges.tolist():
+        a, b = g.edges[i].tolist()
+        tree_pairs.add(frozenset((tuple(g.nodes[a].tolist()), tuple(g.nodes[b].tolist()))))
     problems = []
     cells = list(path.cells)
     for a, b in zip(cells, cells[1:] + cells[:1]):

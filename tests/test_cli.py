@@ -58,6 +58,17 @@ class TestGenTerrain:
         assert code == 2
         assert "even" in err
 
+    @pytest.mark.parametrize("spacing", ["inf", "nan", "0", "-1"])
+    def test_invalid_spacing_exit_2(self, tmp_path, capsys, spacing):
+        out = tmp_path / "t.txt"
+        code, _, err = run(
+            ["gen-terrain", "--rows", "4", "--cols", "4", "--spacing", spacing, "-o", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "spacing" in err
+        assert not out.exists()
+
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
         out = tmp_path / "no-such-dir" / "t.txt"
         code, _, err = run(["gen-terrain", "--rows", "4", "--cols", "4", "-o", str(out)], capsys)
@@ -121,6 +132,15 @@ class TestPlan:
     def test_missing_terrain_exit_3(self, tmp_path, capsys):
         code, _, _ = self.plan(tmp_path / "nope.txt", tmp_path / "o.txt", capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("spacing", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_spacing_exit_3(self, tmp_path, capsys, spacing):
+        terrain = tmp_path / "t.txt"
+        terrain.write_text(f"2 2 {spacing}\n0 0\n0 0\n")
+        code, out, err = self.plan(terrain, tmp_path / "o.txt", capsys)
+        assert code == 3
+        assert out == ""
+        assert "spacing" in err
 
     def test_disconnected_terrain_exit_5(self, tmp_path, capsys):
         terrain = tmp_path / "split.txt"
@@ -233,6 +253,13 @@ class TestRender:
         polylines = [el for el in root.iter() if el.tag.endswith("polyline")]
         assert len(polylines) == 1
         assert lines  # one per tree edge
+
+    @pytest.mark.parametrize("cell_px", ["0", "-2", "nan", "inf"])
+    def test_invalid_cell_px_exit_2(self, tmp_path, capsys, cell_px):
+        code, err, _, _, image = self.pipeline(tmp_path, capsys, extra=["--cell-px", cell_px])
+        assert code == 2
+        assert "cell-px" in err
+        assert not image.exists()
 
     def test_mismatched_path_exit_6(self, tmp_path, capsys):
         terrain = tmp_path / "flat.txt"

@@ -19,7 +19,7 @@ from slopecover.coverage import (
     validate_path,
 )
 from slopecover.graph import build_graph
-from slopecover.spanning import minimum_spanning_tree
+from slopecover.spanning import SpanningTree, minimum_spanning_tree
 from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -107,6 +107,15 @@ def test_invariants_on_random_terrains():
         assert tree_crossing_violations(path, tree) == []
         assert len(path.cells) == 4 * int((~m.blocked).sum())
         validate_path(path, grid)  # the library's own checker agrees
+
+
+@pytest.mark.parametrize("edges", [[], [0], [0, 1, 2, 3]])
+def test_rejects_edge_set_that_is_not_a_spanning_tree(edges):
+    m = mega(np.zeros((2, 2)))
+    g = build_graph(m, WeightSpec.UNIT)
+    not_a_tree = SpanningTree(graph=g, edges=np.array(edges, dtype=np.int64))
+    with pytest.raises(ValueError, match="does not span"):
+        circumnavigate(not_a_tree, m)
 
 
 def test_rejects_mismatched_mega_grid():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slopecover.graph import DisconnectedGridError, average_slope, build_graph, dump_edges
+from oracles import enumerate_edges, flood_fill_regions
+from slopecover.graph import DisconnectedGridError, average_slope, build_graph
 from slopecover.terrain import MegaGrid
-from slopecover.weights import WeightSpec
+from slopecover.weights import WeightSpec, edge_weight
 
 
 def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
@@ -27,17 +28,17 @@ def test_two_free_cells_single_edge():
     g = build_graph(mega([[0.0, 0.0]], spacing=2.0), WeightSpec.PYTHAGORAS)
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
-    assert g.edges[0].weight == 2.0
+    assert g.weight[0] == 2.0
 
 
 def test_flat_2x2_has_four_edges_no_diagonals():
     g = build_graph(mega([[1.0, 1.0], [1.0, 1.0]]), WeightSpec.PYTHAGORAS)
     assert len(g.nodes) == 4
     assert len(g.edges) == 4
-    assert all(e.a != e.b for e in g.edges)
-    for e in g.edges:
-        na, nb = g.nodes[e.a], g.nodes[e.b]
-        assert abs(na.row - nb.row) + abs(na.col - nb.col) == 1
+    assert all(a != b for a, b in g.edges.tolist())
+    for a, b in g.edges.tolist():
+        (ra, ca), (rb, cb) = g.nodes[a], g.nodes[b]
+        assert abs(ra - rb) + abs(ca - cb) == 1
 
 
 def test_2x2_with_one_blocked_cell():
@@ -47,19 +48,19 @@ def test_2x2_with_one_blocked_cell():
     # (0,0)-(0,1) and (0,0)-(1,0)
     assert len(g.nodes) == 3
     assert len(g.edges) == 2
-    pairs = {(g.nodes[e.a].row, g.nodes[e.a].col, g.nodes[e.b].row, g.nodes[e.b].col) for e in g.edges}
+    pairs = {(*g.nodes[a].tolist(), *g.nodes[b].tolist()) for a, b in g.edges.tolist()}
     assert pairs == {(0, 0, 0, 1), (0, 0, 1, 0)}
 
 
 def test_unit_spec_gives_unit_weights():
     heights = np.arange(12, dtype=float).reshape(3, 4) * 3.7
     g = build_graph(mega(heights), WeightSpec.UNIT)
-    assert all(e.weight == 1.0 for e in g.edges)
+    assert all(w == 1.0 for w in g.weight.tolist())
 
 
 def test_edges_enumerated_row_major_right_then_down():
     g = build_graph(mega([[0.0, 0.0], [0.0, 0.0]]), WeightSpec.UNIT)
-    assert [(e.a, e.b) for e in g.edges] == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
 
 @settings(max_examples=40)
@@ -74,9 +75,9 @@ def test_degree_bound():
     rng = np.random.default_rng(17)
     g = build_graph(mega(rng.normal(0, 1, (6, 7))), WeightSpec.PYTHAGORAS)
     degrees = [0] * len(g.nodes)
-    for e in g.edges:
-        degrees[e.a] += 1
-        degrees[e.b] += 1
+    for a, b in g.edges.tolist():
+        degrees[a] += 1
+        degrees[b] += 1
     assert max(degrees) <= 4
 
 
@@ -84,12 +85,11 @@ def test_weights_match_edge_weight_of_spec():
     rng = np.random.default_rng(3)
     m = mega(rng.normal(0, 2, (3, 3)), spacing=1.5)
     g = build_graph(m, WeightSpec.SLOPE_PENALTY)
-    for e in g.edges:
-        na, nb = g.nodes[e.a], g.nodes[e.b]
-        h1 = m.heights[na.row, na.col]
-        h2 = m.heights[nb.row, nb.col]
+    for (a, b), weight in zip(g.edges.tolist(), g.weight.tolist()):
+        h1 = m.heights[tuple(g.nodes[a])]
+        h2 = m.heights[tuple(g.nodes[b])]
         expected = np.hypot(1.5, h1 - h2) * (1 + abs(h1 - h2) / 1.5)
-        assert e.weight == pytest.approx(expected, rel=1e-12)
+        assert weight == pytest.approx(expected, rel=1e-12)
 
 
 def test_disconnected_free_cells_raise_with_component_count():
@@ -111,11 +111,56 @@ def test_no_free_cells_rejected():
 def test_node_lookup():
     blocked = np.array([[False, True], [False, False]])
     g = build_graph(mega(np.zeros((2, 2)), blocked), WeightSpec.UNIT)
-    assert g.node_at(0, 0) == 0
-    assert g.node_at(0, 1) is None  # blocked
-    assert g.node_at(1, 0) == 1
-    assert g.node_at(-1, 0) is None
-    assert g.node_at(0, 5) is None
+    assert g.node_index.tolist() == [[0, -1], [1, 2]]  # -1: blocked
+    assert g.nodes.tolist() == [[0, 0], [1, 0], [1, 1]]
+    # edges (0, 1) down from (0, 0) and (1, 2) right from (1, 0)
+    assert g.edge_at.tolist() == [[[-1, 0], [-1, -1]], [[1, -1], [-1, -1]]]
+    # up, right, down, left edge of each node
+    assert g.incident_edges().tolist() == [[-1, -1, 0, -1], [0, 1, -1, -1], [-1, -1, -1, 1]]
+
+
+def test_arrays_read_only():
+    g = build_graph(mega(np.zeros((2, 2))), WeightSpec.UNIT)
+    for array in (g.node_index, g.nodes, g.edges, g.weight, g.edge_at):
+        with pytest.raises(ValueError):
+            array[0] = 1
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=6),
+    cols=st.integers(min_value=1, max_value=6),
+    spec=st.sampled_from(list(WeightSpec)),
+)
+def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
+    rng = np.random.default_rng(seed)
+    blocked = rng.random((rows, cols)) < 0.3
+    m = mega(rng.normal(0.0, 3.0, (rows, cols)), blocked, spacing=float(rng.uniform(0.5, 3.0)))
+    free = ~blocked
+    if not free.any():
+        with pytest.raises(ValueError, match="no free cells"):
+            build_graph(m, spec)
+        return
+    regions = flood_fill_regions(free)
+    if regions != 1:
+        with pytest.raises(DisconnectedGridError) as info:
+            build_graph(m, spec)
+        assert info.value.components == regions
+        return
+    g = build_graph(m, spec)
+    cells, pairs = enumerate_edges(m)
+    assert g.nodes.tolist() == [list(cell) for cell in cells]
+    for i, (r, c) in enumerate(cells):
+        assert g.node_index[r, c] == i
+    assert int((g.node_index >= 0).sum()) == len(cells)
+    assert g.edges.tolist() == [list(pair) for pair in pairs]
+    for i, (a, b) in enumerate(pairs):
+        (ra, ca), (rb, cb) = cells[a], cells[b]
+        assert g.edge_at[ra, ca, 0 if ra == rb else 1] == i
+        h1, h2 = float(m.heights[ra, ca]), float(m.heights[rb, cb])
+        assert g.weight[i] == edge_weight(spec, h1, h2, m.spacing)  # exact, not approx
+    assert int((g.edge_at >= 0).sum()) == len(pairs)
 
 
 class TestAverageSlope:
@@ -154,8 +199,3 @@ class TestAverageSlope:
         scaled = average_slope(mega(heights * scale))
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
         assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-12)
-
-
-def test_dump_edges_format():
-    g = build_graph(mega([[0.0, 3.0]], spacing=4.0), WeightSpec.PYTHAGORAS)
-    assert dump_edges(g) == "0 0 0 1 5\n"

@@ -9,6 +9,7 @@ from oracles import flood_fill_regions
 from slopecover.graph import average_slope
 from slopecover.terrain import (
     HeightGrid,
+    MegaGrid,
     TerrainGenSpec,
     TerrainGenerationError,
     TerrainParseError,
@@ -100,6 +101,13 @@ class TestHeightGridInvariants:
     def test_nonpositive_spacing(self):
         with pytest.raises(ValueError, match="spacing"):
             HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=0.0)
+
+    @pytest.mark.parametrize("spacing", [float("inf"), float("nan")])
+    def test_non_finite_spacing(self, spacing):
+        with pytest.raises(ValueError, match="finite"):
+            HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=spacing)
+        with pytest.raises(ValueError, match="finite"):
+            MegaGrid(rows=1, cols=2, heights=[1, 2], blocked=[False] * 2, spacing=spacing)
 
     def test_arrays_read_only(self):
         grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1.0)
@@ -212,6 +220,7 @@ class TestGenSpecValidation:
             (dict(rows=4, cols=4, roughness=-0.1), "roughness"),
             (dict(rows=4, cols=4, spacing=0.0), "spacing"),
             (dict(rows=0, cols=4), "positive"),
+            (dict(rows=4, cols=4, spacing=float("inf")), "finite"),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs, match):
