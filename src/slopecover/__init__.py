@@ -19,7 +19,6 @@ from slopecover.bench import (
 )
 from slopecover.coverage import (
     CoveragePath,
-    FineCell,
     PathMismatchError,
     PathParseError,
     circumnavigate,
@@ -73,7 +72,6 @@ __all__ = [
     "CoverageGraph",
     "CoveragePath",
     "DisconnectedGridError",
-    "FineCell",
     "HeightGrid",
     "MegaGrid",
     "PathMismatchError",

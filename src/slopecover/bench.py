@@ -44,13 +44,16 @@ class BenchConfig:
             )
         if not self.weight_specs:
             raise ValueError("benchmark needs at least one weight spec")
-        # shared shape constraints are enforced per terrain via TerrainGenSpec
-        TerrainGenSpec(
+        self.terrain_spec(0)  # TerrainGenSpec checks the shared shape and spacing
+
+    def terrain_spec(self, i: int) -> TerrainGenSpec:
+        """Generator parameters of terrain i."""
+        return TerrainGenSpec(
             rows=self.rows,
             cols=self.cols,
-            seed=self.seeds[0],
+            seed=self.seeds[i],
             max_obstacles=self.max_obstacles,
-            roughness=self.roughness_schedule[0],
+            roughness=self.roughness_schedule[i],
             spacing=self.spacing,
         )
 
@@ -121,18 +124,9 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     failures are re-raised with the terrain index attached.
     """
     records: list[BenchRecord] = []
-    for i, (seed, roughness) in enumerate(zip(cfg.seeds, cfg.roughness_schedule)):
+    for i, seed in enumerate(cfg.seeds):
         try:
-            grid = generate_terrain(
-                TerrainGenSpec(
-                    rows=cfg.rows,
-                    cols=cfg.cols,
-                    seed=seed,
-                    max_obstacles=cfg.max_obstacles,
-                    roughness=roughness,
-                    spacing=cfg.spacing,
-                )
-            )
+            grid = generate_terrain(cfg.terrain_spec(i))
         except TerrainGenerationError as exc:
             raise TerrainGenerationError(f"terrain {i}: {exc}") from exc
         mega = aggregate(grid)
@@ -200,17 +194,9 @@ def trend_statistics(records: Iterable[BenchRecord]) -> tuple[SpecTrend, ...]:
 
 def _rankdata(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1, ties averaged."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j < len(values) and sorted_values[j] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j - 1) + 1.0
-        i = j
-    return ranks
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of the last member of each tie group
+    return (last - 0.5 * (counts - 1))[group]
 
 
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:

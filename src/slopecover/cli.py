@@ -100,18 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="plan a coverage route over a terrain file")
     plan.add_argument("--terrain", required=True, help="terrain file to read")
-    plan.add_argument(
-        "--weight",
-        choices=_WEIGHT_TOKENS,
-        default="pythagoras",
-        help="edge-weight function (default pythagoras)",
-    )
-    plan.add_argument(
-        "--method",
-        choices=("mst", "classical"),
-        default="mst",
-        help="spanning tree to circumnavigate (default mst)",
-    )
+    _add_tree_flags(plan, "edge-weight function", "spanning tree to circumnavigate")
     plan.add_argument("-o", "--output", required=True, help="path file to write")
     plan.set_defaults(handler=cmd_plan)
 
@@ -151,18 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument(
         "--show-tree", action="store_true", help="overlay the spanning tree edges"
     )
-    render.add_argument(
-        "--weight",
-        choices=_WEIGHT_TOKENS,
-        default="pythagoras",
-        help="weight spec for --show-tree (default pythagoras)",
-    )
-    render.add_argument(
-        "--method",
-        choices=("mst", "classical"),
-        default="mst",
-        help="tree for --show-tree (default mst)",
-    )
+    _add_tree_flags(render, "weight spec for --show-tree", "tree for --show-tree")
     render.add_argument(
         "--cell-px", type=float, default=10.0, help="pixels per fine cell (default 10)"
     )
@@ -170,6 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     render.set_defaults(handler=cmd_render)
 
     return parser
+
+
+def _add_tree_flags(parser: argparse.ArgumentParser, weight_help: str, method_help: str) -> None:
+    """--weight and --method, shared by plan and render."""
+    parser.add_argument("--weight", choices=_WEIGHT_TOKENS, default="pythagoras",
+                        help=f"{weight_help} (default pythagoras)")
+    parser.add_argument("--method", choices=("mst", "classical"), default="mst",
+                        help=f"{method_help} (default mst)")
 
 
 def cmd_gen_terrain(args: argparse.Namespace) -> int:
@@ -241,17 +227,8 @@ def _bench_config_from_args(args: argparse.Namespace) -> bench_mod.BenchConfig:
     merged: dict[str, object] = dict(_BENCH_DEFAULTS)
     if args.config:
         merged.update(_read_bench_config_file(args.config))
-    flags = {
-        "terrains": args.terrains,
-        "rows": args.rows,
-        "cols": args.cols,
-        "obstacles": args.obstacles,
-        "seed": args.seed,
-        "weights": args.weights,
-        "roughness_min": args.roughness_min,
-        "roughness_max": args.roughness_max,
-        "spacing": args.spacing,
-    }
+    # every config key is also the dest of the flag that overrides it
+    flags = {key: getattr(args, key) for key in _BENCH_DEFAULTS}
     for key, value in flags.items():
         if value is not None:
             merged[key] = value

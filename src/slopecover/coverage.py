@@ -4,30 +4,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from slopecover.spanning import SpanningTree
 from slopecover.terrain import HeightGrid, MegaGrid, blocked_mega_cells
-from slopecover.weights import WeightSpec, edge_weight
+from slopecover.weights import WeightSpec, edge_weights, total_weight
 
 # (row, col) offsets of the sub-cell corners of a mega cell, clockwise
 # starting top-left: NW, NE, SE, SW
 _CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
 
 
-class FineCell(NamedTuple):
-    row: int
-    col: int
-
-
 @dataclass(frozen=True, eq=False)
 class CoveragePath:
-    """Ordered fine-cell route; closed paths wrap from the last cell to the first."""
+    """Ordered fine-cell route; closed paths wrap from the last cell to the first.
 
-    cells: tuple[FineCell, ...]
+    cells is stored as a read-only (L, 2) int64 array of fine (row, col).
+    """
+
+    cells: np.ndarray
     closed: bool = True
+
+    def __post_init__(self) -> None:
+        cells = np.array(self.cells if len(self.cells) else np.empty((0, 2), np.int64))
+        if cells.ndim != 2 or cells.shape[1] != 2 or not np.can_cast(cells.dtype, np.int64):
+            raise ValueError(f"cells must be (L, 2) integers, got {cells.dtype} {cells.shape}")
+        cells = cells.astype(np.int64)
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
 
 
 class PathParseError(ValueError):
@@ -73,29 +78,24 @@ def circumnavigate(tree: SpanningTree, mega: MegaGrid) -> CoveragePath:
     while state:
         order.append(state)
         state = successor[state]
-    rows, cols = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2)[order].T.tolist()
-    cells = tuple(map(FineCell, rows, cols))
-    if len(cells) != 4 * n:
+    if len(order) != 4 * n:
         raise ValueError(
-            f"tree walk covered {len(cells)} of {4 * n} fine cells; "
+            f"tree walk covered {len(order)} of {4 * n} fine cells; "
             "the tree does not span all free mega cells"
         )
-    return CoveragePath(cells=cells, closed=True)
+    corners = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2)
+    return CoveragePath(cells=corners[order], closed=True)
 
 
 def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
-    """Sum of edge weights over consecutive fine cells (cyclically when closed)."""
-    cells = path.cells
-    if len(cells) < 2:
+    """Sum of edge weights over consecutive fine cells (cyclically when closed),
+    added in route order. Raises ValueError when the total is not finite."""
+    heights = grid.heights[path.cells[:, 0], path.cells[:, 1]]
+    if len(heights) < 2:
         return 0.0
-    heights = grid.heights
-    successors = cells[1:] + (cells[:1] if path.closed else ())
-    total = 0.0
-    for a, b in zip(cells, successors):
-        total += edge_weight(
-            spec, float(heights[a.row, a.col]), float(heights[b.row, b.col]), grid.spacing
-        )
-    return total
+    following = np.roll(heights, -1) if path.closed else heights[1:]
+    weights = edge_weights(spec, heights[: len(following)], following, grid.spacing)
+    return total_weight(weights, "path_cost")
 
 
 def count_sacrificed_cells(grid: HeightGrid) -> int:
@@ -106,46 +106,61 @@ def count_sacrificed_cells(grid: HeightGrid) -> int:
 
 
 def validate_path(path: CoveragePath, grid: HeightGrid) -> None:
-    """Raise PathMismatchError unless path is a full coverage cycle for grid."""
+    """Raise PathMismatchError unless path is a full coverage cycle for grid.
+
+    Cells are checked in route order and the first failing one is reported.
+    """
     if not path.closed:
         raise PathMismatchError("coverage path must be closed")
     cells = path.cells
-    if not cells:
+    if not len(cells):
         raise PathMismatchError("path is empty")
     blocked = blocked_mega_cells(grid.obstacle)
     expected = 4 * int((~blocked).sum())
     if len(cells) != expected:
-        raise PathMismatchError(
-            f"path length {len(cells)} != 4 x free mega cells ({expected})"
-        )
-    seen: set[FineCell] = set()
-    for cell in cells:
-        if not (0 <= cell.row < grid.rows and 0 <= cell.col < grid.cols):
-            raise PathMismatchError(f"cell {cell.row},{cell.col} lies outside the grid")
-        if grid.obstacle[cell.row, cell.col]:
-            raise PathMismatchError(f"cell {cell.row},{cell.col} is an obstacle")
-        if blocked[cell.row // 2, cell.col // 2]:
-            raise PathMismatchError(f"cell {cell.row},{cell.col} lies in a blocked mega cell")
-        if cell in seen:
-            raise PathMismatchError(f"cell {cell.row},{cell.col} visited twice")
-        seen.add(cell)
-    for a, b in zip(cells, cells[1:] + cells[:1]):
-        if abs(a.row - b.row) + abs(a.col - b.col) != 1:
-            raise PathMismatchError(
-                f"step {a.row},{a.col} -> {b.row},{b.col} is not 4-adjacent"
-            )
+        raise PathMismatchError(f"path length {len(cells)} != 4 x free mega cells ({expected})")
+    row, col = cells[:, 0], cells[:, 1]
+    outside = (row < 0) | (row >= grid.rows) | (col < 0) | (col >= grid.cols)
+    row, col = np.where(outside, 0, row), np.where(outside, 0, col)
+    # what can be wrong with one cell, in the order it is reported
+    problems = (
+        (outside, "lies outside the grid"),
+        (grid.obstacle[row, col], "is an obstacle"),
+        (blocked[row // 2, col // 2], "lies in a blocked mega cell"),
+        (_repeated(row * grid.cols + col), "visited twice"),
+    )
+    failing = np.logical_or.reduce([mask for mask, _ in problems])
+    if failing.any():
+        i = int(failing.argmax())
+        reason = next(text for mask, text in problems if mask[i])
+        raise PathMismatchError(f"cell {cells[i, 0]},{cells[i, 1]} {reason}")
+    following = np.roll(cells, -1, axis=0)
+    jumps = np.abs(following - cells).sum(axis=1) != 1
+    if jumps.any():
+        i = int(jumps.argmax())
+        (ra, ca), (rb, cb) = cells[i].tolist(), following[i].tolist()
+        raise PathMismatchError(f"step {ra},{ca} -> {rb},{cb} is not 4-adjacent")
+
+
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """True at every occurrence of a non-negative key after its first."""
+    repeated = np.zeros(len(keys), dtype=bool)
+    if np.bincount(keys).max() > 1:
+        repeated[:] = True
+        repeated[np.unique(keys, return_index=True)[1]] = False
+    return repeated
 
 
 def format_path(path: CoveragePath) -> str:
     """Serialize to the path text format: header `PATH L closed`, then one
     `row col` line per cell."""
     word = "closed" if path.closed else "open"
-    lines = [f"PATH {len(path.cells)} {word}"]
-    lines.extend(f"{cell.row} {cell.col}" for cell in path.cells)
-    return "\n".join(lines) + "\n"
+    cells = path.cells
+    return f"PATH {len(cells)} {word}\n" + ("%d %d\n" * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def parse_path(text: str) -> CoveragePath:
+    """Parse the path text format; raises PathParseError on malformed text."""
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -160,16 +175,20 @@ def parse_path(text: str) -> CoveragePath:
         raise PathParseError(f"malformed header {lines[0]!r}") from exc
     if len(lines) - 1 != length:
         raise PathParseError(f"expected {length} cells, found {len(lines) - 1}")
-    cells = []
+    values: list[int] = []
     for i, line in enumerate(lines[1:]):
         tokens = line.split()
         if len(tokens) != 2:
             raise PathParseError(f"cell line {i}: expected 'row col', got {line!r}")
         try:
-            cells.append(FineCell(int(tokens[0]), int(tokens[1])))
+            values += map(int, tokens)
         except ValueError as exc:
             raise PathParseError(f"cell line {i}: non-integer coordinate") from exc
-    return CoveragePath(cells=tuple(cells), closed=header[2] == "closed")
+    try:
+        cells = np.array(values, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise PathParseError("cell coordinate out of the int64 range") from exc
+    return CoveragePath(cells=cells, closed=header[2] == "closed")
 
 
 def load_path_file(path: str | Path) -> CoveragePath:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slopecover.terrain import MegaGrid, component_count, slope_sum
-from slopecover.weights import WeightSpec, edge_weight
+from slopecover.weights import WeightSpec, edge_weights
 
 
 class DisconnectedGridError(ValueError):
@@ -91,18 +91,9 @@ def build_graph(mega: MegaGrid, spec: WeightSpec) -> CoverageGraph:
 
 
 def _edge_weights(mega: MegaGrid, spec: WeightSpec, edges: np.ndarray) -> np.ndarray:
-    """edge_weight of each (a, b) node pair, evaluated on Python floats.
-
-    The scalar function is the spec: a vectorised np.hypot differs from
-    math.hypot in the last bit on some inputs.
-    """
+    """edge_weight of each (a, b) node pair, bit for bit."""
     node_heights = mega.heights[~mega.blocked]
-    d = mega.spacing
-    weights = [
-        edge_weight(spec, h1, h2, d)
-        for h1, h2 in zip(node_heights[edges[:, 0]].tolist(), node_heights[edges[:, 1]].tolist())
-    ]
-    return np.array(weights, dtype=np.float64)
+    return edge_weights(spec, node_heights[edges[:, 0]], node_heights[edges[:, 1]], mega.spacing)
 
 
 def average_slope(mega: MegaGrid) -> float:

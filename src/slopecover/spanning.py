@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slopecover.graph import CoverageGraph, _edge_weights
-from slopecover.weights import WeightSpec
+from slopecover.weights import WeightSpec, total_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +78,8 @@ def tree_weight(tree: SpanningTree, spec: WeightSpec) -> float:
     """Total edge cost re-evaluated under spec, summed in canonical edge order.
 
     spec may differ from the spec the tree was built with; the baseline tree
-    is built weight-blind but costed with slope-aware weights.
+    is built weight-blind but costed with slope-aware weights. Raises
+    ValueError when the total is not finite.
     """
     g = tree.graph
-    total = 0.0
-    for w in _edge_weights(g.mega, spec, g.edges[tree.edges]).tolist():
-        total += w
-    return total
+    return total_weight(_edge_weights(g.mega, spec, g.edges[tree.edges]), "tree_weight")

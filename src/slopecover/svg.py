@@ -56,10 +56,10 @@ def render_svg(
                 f'x2="{(2 * cb + 1) * s:g}" y2="{(2 * rb + 1) * s:g}" '
                 f'stroke="{_TREE_STROKE}" stroke-width="{0.3 * s:g}"/>'
             )
-    points = list(path.cells)
-    if path.closed and points:
-        points.append(points[0])
-    point_text = " ".join(f"{(c + 0.5) * s:g},{(r + 0.5) * s:g}" for r, c in points)
+    rows, cols = path.cells.T.tolist()
+    if path.closed and rows:
+        rows, cols = rows + rows[:1], cols + cols[:1]
+    point_text = " ".join(f"{(c + 0.5) * s:g},{(r + 0.5) * s:g}" for r, c in zip(rows, cols))
     lines.append(
         f'<polyline points="{point_text}" fill="none" stroke="{_ROUTE_STROKE}" '
         f'stroke-width="{0.25 * s:g}" stroke-linejoin="round"/>'

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,9 +22,35 @@ class TerrainGenerationError(RuntimeError):
     """No connected obstacle layout was found within the retry budget."""
 
 
-def _check_spacing(spacing: float) -> None:
-    if not 0 < spacing < math.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+# aggregation doubles the fine-cell spacing, which must stay finite
+_MAX_FINE_SPACING = sys.float_info.max / 2
+
+
+def _check_spacing(spacing: float, limit: float) -> None:
+    if not 0 < spacing <= limit:
+        raise ValueError(f"spacing must be positive and finite, at most {limit!r}, got {spacing}")
+
+
+def _freeze_grid(grid: HeightGrid | MegaGrid, mask: str, max_spacing: float) -> None:
+    """Check and store the fields both grids share as plain ints, a float and
+    read-only (rows, cols) arrays; mask names the boolean field."""
+    rows, cols, spacing = int(grid.rows), int(grid.cols), float(grid.spacing)
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
+    _check_spacing(spacing, max_spacing)
+    heights = np.asarray(grid.heights, dtype=np.float64)
+    flags = np.asarray(getattr(grid, mask), dtype=bool)
+    for name, array in (("heights", heights), (f"{mask} flags", flags)):
+        if array.size != rows * cols:
+            raise ValueError(f"expected {rows * cols} {name}, got {array.size}")
+    if not np.isfinite(heights).all():
+        raise ValueError("heights must be finite (no nan or inf)")
+    fields = {"rows": rows, "cols": cols, "spacing": spacing}
+    for name, array in (("heights", heights), (mask, flags)):
+        fields[name] = array.reshape(rows, cols).copy()
+        fields[name].setflags(write=False)
+    for name, value in fields.items():
+        object.__setattr__(grid, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,30 +69,11 @@ class HeightGrid:
     spacing: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", int(self.rows))
-        object.__setattr__(self, "cols", int(self.cols))
-        object.__setattr__(self, "spacing", float(self.spacing))
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
+        _freeze_grid(self, "obstacle", _MAX_FINE_SPACING)
         if self.rows % 2 or self.cols % 2:
             raise ValueError(
                 f"grid dimensions must be even so 2x2 aggregation is exact, got {self.rows}x{self.cols}"
             )
-        _check_spacing(self.spacing)
-        heights = np.asarray(self.heights, dtype=np.float64)
-        obstacle = np.asarray(self.obstacle, dtype=bool)
-        if heights.size != self.rows * self.cols:
-            raise ValueError(f"expected {self.rows * self.cols} heights, got {heights.size}")
-        if obstacle.size != self.rows * self.cols:
-            raise ValueError(f"expected {self.rows * self.cols} obstacle flags, got {obstacle.size}")
-        heights = heights.reshape(self.rows, self.cols).copy()
-        obstacle = obstacle.reshape(self.rows, self.cols).copy()
-        if not np.isfinite(heights).all():
-            raise ValueError("heights must be finite (no nan or inf)")
-        heights.setflags(write=False)
-        obstacle.setflags(write=False)
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "obstacle", obstacle)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,26 +87,7 @@ class MegaGrid:
     spacing: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", int(self.rows))
-        object.__setattr__(self, "cols", int(self.cols))
-        object.__setattr__(self, "spacing", float(self.spacing))
-        if self.rows <= 0 or self.cols <= 0:
-            raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
-        _check_spacing(self.spacing)
-        heights = np.asarray(self.heights, dtype=np.float64)
-        blocked = np.asarray(self.blocked, dtype=bool)
-        if heights.size != self.rows * self.cols:
-            raise ValueError(f"expected {self.rows * self.cols} heights, got {heights.size}")
-        if blocked.size != self.rows * self.cols:
-            raise ValueError(f"expected {self.rows * self.cols} blocked flags, got {blocked.size}")
-        heights = heights.reshape(self.rows, self.cols).copy()
-        blocked = blocked.reshape(self.rows, self.cols).copy()
-        if not np.isfinite(heights).all():
-            raise ValueError("heights must be finite (no nan or inf)")
-        heights.setflags(write=False)
-        blocked.setflags(write=False)
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "blocked", blocked)
+        _freeze_grid(self, "blocked", sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -131,7 +119,7 @@ class TerrainGenSpec:
             raise ValueError(f"max_obstacles must be non-negative, got {self.max_obstacles}")
         if not 0.0 <= self.roughness <= 1.0:
             raise ValueError(f"roughness must lie in [0, 1], got {self.roughness}")
-        _check_spacing(self.spacing)
+        _check_spacing(self.spacing, _MAX_FINE_SPACING)
 
 
 def aggregate(grid: HeightGrid) -> MegaGrid:

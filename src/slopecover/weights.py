@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+
+import numpy as np
 
 
 class WeightSpec(enum.Enum):
@@ -62,3 +65,37 @@ def edge_weight(spec: WeightSpec, h1: float, h2: float, d: float) -> float:
     if spec is WeightSpec.SLOPE_PENALTY:
         return weight_penalty(h1, h2, d)
     raise TypeError(f"not a WeightSpec: {spec!r}")
+
+
+def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> np.ndarray:
+    """edge_weight of each pair (h1[i], h2[i]) as one float64 array, bit for bit.
+
+    The subtraction, |diff| / d, the penalty factor and the product are the
+    same IEEE operations in numpy as on Python floats. hypot is not: np.hypot
+    differs from math.hypot in the last bit on some inputs, so it runs through
+    math.hypot. Differences that overflow give inf, as on Python floats.
+    """
+    _check_distance(d)
+    with np.errstate(over="ignore"):
+        diff = np.subtract(h1, h2, dtype=np.float64)
+        if spec is WeightSpec.UNIT:
+            return np.ones(len(diff))
+        hyp = np.fromiter(map(math.hypot, itertools.repeat(float(d)), diff.tolist()), np.float64)
+        if spec is WeightSpec.PYTHAGORAS:
+            return hyp
+        if spec is WeightSpec.SLOPE_PENALTY:
+            return hyp * (1.0 + np.abs(diff) / d)
+    raise TypeError(f"not a WeightSpec: {spec!r}")
+
+
+def total_weight(weights: np.ndarray, name: str) -> float:
+    """Sum of weights added strictly left to right, as a Python loop adds them
+    (np.sum adds pairwise and can differ in the last bits).
+
+    Raises ValueError, naming the metric, when the total is not finite.
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        total = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
+    if not math.isfinite(total):
+        raise ValueError(f"{name} is not finite ({total}): the height differences are too large")
+    return total

@@ -15,7 +15,7 @@ from slopecover.coverage import CoveragePath
 from slopecover.graph import CoverageGraph
 from slopecover.spanning import SpanningTree
 from slopecover.terrain import HeightGrid, MegaGrid
-from slopecover.weights import WeightSpec
+from slopecover.weights import WeightSpec, edge_weight
 
 
 def flood_fill_regions(mask: np.ndarray) -> int:
@@ -138,9 +138,10 @@ def coverage_violations(path: CoveragePath, grid: HeightGrid) -> list[str]:
     }
     if not path.closed:
         problems.append("path not closed")
-    if len(path.cells) != len(expected):
-        problems.append(f"length {len(path.cells)} != free fine cells {len(expected)}")
-    counts = Counter((cell.row, cell.col) for cell in path.cells)
+    cells = [tuple(cell) for cell in path.cells.tolist()]
+    if len(cells) != len(expected):
+        problems.append(f"length {len(cells)} != free fine cells {len(expected)}")
+    counts = Counter(cells)
     missing = expected - set(counts)
     extra = set(counts) - expected
     if missing:
@@ -150,13 +151,12 @@ def coverage_violations(path: CoveragePath, grid: HeightGrid) -> list[str]:
     repeated = [cell for cell, k in counts.items() if k != 1]
     if repeated:
         problems.append(f"{len(repeated)} cells visited more than once")
-    for cell in path.cells:
-        if grid.obstacle[cell.row, cell.col]:
+    for cell in cells:
+        if grid.obstacle[cell]:
             problems.append(f"obstacle cell {cell} on path")
             break
-    cells = list(path.cells)
     for a, b in zip(cells, cells[1:] + cells[:1]):
-        if abs(a.row - b.row) + abs(a.col - b.col) != 1:
+        if abs(a[0] - b[0]) + abs(a[1] - b[1]) != 1:
             problems.append(f"step {a} -> {b} not 4-adjacent")
             break
     return problems
@@ -170,10 +170,22 @@ def tree_crossing_violations(path: CoveragePath, tree: SpanningTree) -> list[str
         a, b = g.edges[i].tolist()
         tree_pairs.add(frozenset((tuple(g.nodes[a].tolist()), tuple(g.nodes[b].tolist()))))
     problems = []
-    cells = list(path.cells)
+    cells = [tuple(cell) for cell in path.cells.tolist()]
     for a, b in zip(cells, cells[1:] + cells[:1]):
-        mega_a = (a.row // 2, a.col // 2)
-        mega_b = (b.row // 2, b.col // 2)
+        mega_a = (a[0] // 2, a[1] // 2)
+        mega_b = (b[0] // 2, b[1] // 2)
         if mega_a != mega_b and frozenset((mega_a, mega_b)) not in tree_pairs:
             problems.append(f"step {a} -> {b} crosses a non-tree mega boundary")
     return problems
+
+
+def scalar_path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
+    """Route cost by the scalar edge_weight, one step at a time, added left to right."""
+    cells = [tuple(cell) for cell in path.cells.tolist()]
+    if len(cells) < 2:
+        return 0.0
+    successors = cells[1:] + (cells[:1] if path.closed else [])
+    total = 0.0
+    for a, b in zip(cells, successors):
+        total += edge_weight(spec, float(grid.heights[a]), float(grid.heights[b]), grid.spacing)
+    return total

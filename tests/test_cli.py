@@ -58,7 +58,8 @@ class TestGenTerrain:
         assert code == 2
         assert "even" in err
 
-    @pytest.mark.parametrize("spacing", ["inf", "nan", "0", "-1"])
+    # 1e308 is finite, but aggregation doubles it past the largest float
+    @pytest.mark.parametrize("spacing", ["inf", "nan", "0", "-1", "1e308"])
     def test_invalid_spacing_exit_2(self, tmp_path, capsys, spacing):
         out = tmp_path / "t.txt"
         code, _, err = run(
@@ -141,6 +142,17 @@ class TestPlan:
         assert code == 3
         assert out == ""
         assert "spacing" in err
+
+    def test_non_finite_path_cost_exit_3(self, tmp_path, capsys):
+        # mega means stay finite, but one fine step spans 2e308
+        terrain = tmp_path / "t.txt"
+        terrain.write_text("2 4 1\n1e308 -1e308 0 0\n1e308 -1e308 0 0\n")
+        output = tmp_path / "o.txt"
+        code, out, err = self.plan(terrain, output, capsys, weight="penalty")
+        assert code == 3
+        assert out == ""
+        assert "path_cost is not finite" in err
+        assert not output.exists()
 
     def test_disconnected_terrain_exit_5(self, tmp_path, capsys):
         terrain = tmp_path / "split.txt"

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import coverage_violations, tree_crossing_violations
+from oracles import coverage_violations, scalar_path_cost, tree_crossing_violations
 from slopecover.coverage import (
     CoveragePath,
-    FineCell,
     PathMismatchError,
     PathParseError,
     circumnavigate,
@@ -19,7 +20,7 @@ from slopecover.coverage import (
     validate_path,
 )
 from slopecover.graph import build_graph
-from slopecover.spanning import SpanningTree, minimum_spanning_tree
+from slopecover.spanning import SpanningTree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -45,38 +46,38 @@ def test_single_mega_cell_clockwise_square():
     m = mega([[5.0]])
     path = circumnavigate(tree_for(m), m)
     assert path.closed
-    assert path.cells == (FineCell(0, 0), FineCell(0, 1), FineCell(1, 1), FineCell(1, 0))
+    assert path.cells.tolist() == [[0, 0], [0, 1], [1, 1], [1, 0]]
 
 
 def test_two_horizontal_mega_cells_hug_the_edge():
     m = mega([[0.0, 0.0]])
     path = circumnavigate(tree_for(m), m)
     # unique hugging cycle on the 2x4 fine grid, enumerated by hand
-    assert path.cells == (
-        FineCell(0, 0),
-        FineCell(0, 1),
-        FineCell(0, 2),
-        FineCell(0, 3),
-        FineCell(1, 3),
-        FineCell(1, 2),
-        FineCell(1, 1),
-        FineCell(1, 0),
-    )
+    assert path.cells.tolist() == [
+        [0, 0],
+        [0, 1],
+        [0, 2],
+        [0, 3],
+        [1, 3],
+        [1, 2],
+        [1, 1],
+        [1, 0],
+    ]
 
 
 def test_two_vertical_mega_cells_hug_the_edge():
     m = mega([[0.0], [0.0]])
     path = circumnavigate(tree_for(m), m)
-    assert path.cells == (
-        FineCell(0, 0),
-        FineCell(0, 1),
-        FineCell(1, 1),
-        FineCell(2, 1),
-        FineCell(3, 1),
-        FineCell(3, 0),
-        FineCell(2, 0),
-        FineCell(1, 0),
-    )
+    assert path.cells.tolist() == [
+        [0, 0],
+        [0, 1],
+        [1, 1],
+        [2, 1],
+        [3, 1],
+        [3, 0],
+        [2, 0],
+        [1, 0],
+    ]
 
 
 def test_starts_at_top_left_subcell_of_root():
@@ -84,7 +85,7 @@ def test_starts_at_top_left_subcell_of_root():
     m = mega(np.zeros((2, 2)), blocked)
     path = circumnavigate(tree_for(m), m)
     # root is the first free mega cell in row-major order: (0, 1)
-    assert path.cells[0] == FineCell(0, 2)
+    assert path.cells[0].tolist() == [0, 2]
 
 
 def test_invariants_on_random_terrains():
@@ -152,6 +153,68 @@ class TestPathCost:
         assert expected == pytest.approx(7.300563, abs=1e-6)
 
 
+    def test_equals_scalar_loop_on_random_terrains(self):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            side = 2 * int(rng.integers(1, 10))
+            grid = generate_terrain(
+                TerrainGenSpec(
+                    rows=side,
+                    cols=side + 2,
+                    seed=int(rng.integers(2**32)),
+                    max_obstacles=int(rng.integers(0, 3)),
+                    roughness=float(rng.uniform(0.0, 1.0)),
+                    spacing=float(rng.uniform(0.1, 3.0)),
+                )
+            )
+            route = circumnavigate(tree_for(aggregate(grid)), aggregate(grid))
+            cut = int(rng.integers(0, len(route.cells) + 1))
+            paths = [route, CoveragePath(cells=route.cells[:cut], closed=False)]
+            for path in paths:
+                for spec in WeightSpec:
+                    # exact: same terms, added in the same order
+                    assert path_cost(path, grid, spec) == scalar_path_cost(path, grid, spec)
+
+    def test_short_paths_cost_nothing(self):
+        grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1.0)
+        for cells in ((), ((0, 0),)):
+            for closed in (True, False):
+                assert path_cost(CoveragePath(cells=cells, closed=closed), grid, WeightSpec.UNIT) == 0.0
+
+    def test_non_finite_cost_rejected(self):
+        # the mega means are 0 and 0, but a fine step spans 2e308
+        grid = HeightGrid(
+            rows=2, cols=4, heights=[1e308, -1e308, 0, 0] * 2, obstacle=[False] * 8, spacing=1.0
+        )
+        m = aggregate(grid)
+        tree = tree_for(m)
+        path = circumnavigate(tree, m)
+        assert tree_weight(tree, WeightSpec.PYTHAGORAS) == 2.0
+        with pytest.raises(ValueError, match="path_cost is not finite"):
+            path_cost(path, grid, WeightSpec.PYTHAGORAS)
+
+
+def test_non_finite_tree_weight_rejected():
+    m = mega([[1e308, -1e308]])
+    tree = tree_for(m)
+    with pytest.raises(ValueError, match="tree_weight is not finite"):
+        tree_weight(tree, WeightSpec.SLOPE_PENALTY)
+    assert tree_weight(tree, WeightSpec.UNIT) == 1.0
+
+
+def test_path_cells_are_read_only_int64_pairs():
+    path = CoveragePath(cells=[(0, 0), (0, 1)])
+    assert path.cells.dtype == np.int64 and path.cells.shape == (2, 2)
+    with pytest.raises(ValueError):
+        path.cells[0, 0] = 5
+    assert CoveragePath(cells=()).cells.shape == (0, 2)
+    for bad in ([(0.5, 1.0)], [(1, 2, 3), (4, 5, 6)], [1, 2], np.array([[2**63]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="integers"):
+            CoveragePath(cells=bad)
+    route = circumnavigate(tree_for(mega([[0.0, 1.0]])), mega([[0.0, 1.0]]))
+    assert route.cells.dtype == np.int64 and not route.cells.flags.writeable
+
+
 def test_sacrificed_cells_counted():
     obstacle = np.zeros((4, 4), dtype=bool)
     obstacle[0, 0] = True  # blocks mega (0,0); its other 3 fine cells are sacrificed
@@ -166,11 +229,11 @@ def test_no_sacrifice_without_obstacles():
 
 class TestPathFiles:
     def test_round_trip(self):
-        path = CoveragePath(cells=(FineCell(0, 0), FineCell(0, 1), FineCell(1, 1), FineCell(1, 0)))
+        path = CoveragePath(cells=((0, 0), (0, 1), (1, 1), (1, 0)))
         text = format_path(path)
         assert text.splitlines()[0] == "PATH 4 closed"
         back = parse_path(text)
-        assert back.cells == path.cells
+        assert np.array_equal(back.cells, path.cells)
         assert back.closed
 
     def test_bad_header(self):
@@ -185,6 +248,52 @@ class TestPathFiles:
         with pytest.raises(PathParseError, match="non-integer"):
             parse_path("PATH 1 closed\n0 x\n")
 
+    def test_first_malformed_line_is_reported(self):
+        with pytest.raises(PathParseError, match="cell line 1: non-integer"):
+            parse_path("PATH 3 closed\n0 0\n0 x\n1 2 3\n")
+        with pytest.raises(PathParseError, match="cell line 1: expected 'row col'"):
+            parse_path("PATH 3 closed\n0 0\n1 2 3\n0 x\n")
+
+    def test_coordinate_beyond_int64_rejected(self):
+        with pytest.raises(PathParseError, match="int64"):
+            parse_path(f"PATH 1 open\n0 {2**63}\n")
+
+    def test_bytes_match_line_per_cell_format(self):
+        path = CoveragePath(cells=[(0, 0), (-3, 12), (1000000, 7)], closed=False)
+        assert format_path(path) == "PATH 3 open\n0 0\n-3 12\n1000000 7\n"
+        assert format_path(CoveragePath(cells=())) == "PATH 0 closed\n"
+
+    @settings(max_examples=200)
+    @given(
+        cells=st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(-5, 5)), max_size=30),
+        closed=st.booleans(),
+    )
+    def test_parse_inverts_format(self, cells, closed):
+        path = CoveragePath(cells=cells, closed=closed)
+        back = parse_path(format_path(path))
+        assert back.closed == path.closed
+        assert back.cells.dtype == np.int64
+        assert np.array_equal(back.cells, path.cells)
+
+    @settings(max_examples=300)
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.builds(
+                lambda n, word, body: f"PATH {n} {word}\n" + "\n".join(body),
+                st.integers(-2, 6),
+                st.sampled_from(["closed", "open", "shut"]),
+                st.lists(st.text(alphabet="0123456789 -+_x\t\u0663", max_size=8), max_size=6),
+            ),
+        )
+    )
+    def test_fuzzed_text_raises_only_parse_errors(self, text):
+        try:
+            path = parse_path(text)
+        except PathParseError:
+            return
+        assert path.cells.ndim == 2 and path.cells.shape[1] == 2
+
 
 class TestValidatePath:
     def make_grid(self):
@@ -192,42 +301,79 @@ class TestValidatePath:
 
     def test_accepts_valid_cycle(self):
         grid = self.make_grid()
-        path = CoveragePath(cells=(FineCell(0, 0), FineCell(0, 1), FineCell(1, 1), FineCell(1, 0)))
+        path = CoveragePath(cells=((0, 0), (0, 1), (1, 1), (1, 0)))
         validate_path(path, grid)
 
     def test_rejects_wrong_length(self):
-        path = CoveragePath(cells=(FineCell(0, 0), FineCell(0, 1)))
+        path = CoveragePath(cells=((0, 0), (0, 1)))
         with pytest.raises(PathMismatchError, match="length"):
             validate_path(path, self.make_grid())
 
     def test_rejects_out_of_bounds(self):
-        path = CoveragePath(cells=(FineCell(0, 0), FineCell(0, 1), FineCell(0, 2), FineCell(0, 3)))
+        path = CoveragePath(cells=((0, 0), (0, 1), (0, 2), (0, 3)))
         with pytest.raises(PathMismatchError, match="outside"):
             validate_path(path, self.make_grid())
 
     def test_rejects_duplicate_visit(self):
         path = CoveragePath(
-            cells=(FineCell(0, 0), FineCell(0, 1), FineCell(0, 0), FineCell(1, 0))
+            cells=((0, 0), (0, 1), (0, 0), (1, 0))
         )
         with pytest.raises(PathMismatchError, match="twice"):
             validate_path(path, self.make_grid())
 
     def test_rejects_diagonal_step(self):
-        path = CoveragePath(cells=(FineCell(0, 0), FineCell(1, 1), FineCell(0, 1), FineCell(1, 0)))
+        path = CoveragePath(cells=((0, 0), (1, 1), (0, 1), (1, 0)))
         with pytest.raises(PathMismatchError, match="4-adjacent"):
             validate_path(path, self.make_grid())
 
     def test_rejects_open_path(self):
         path = CoveragePath(
-            cells=(FineCell(0, 0), FineCell(0, 1), FineCell(1, 1), FineCell(1, 0)), closed=False
+            cells=((0, 0), (0, 1), (1, 1), (1, 0)), closed=False
         )
         with pytest.raises(PathMismatchError, match="closed"):
             validate_path(path, self.make_grid())
+
+    @pytest.mark.parametrize(
+        "cells, closed, message",
+        [
+            ([(0, 2), (0, 3), (1, 3), (1, 2)] * 3, False, "coverage path must be closed"),
+            ([], True, "path is empty"),
+            ([(0, 2), (0, 3)], True, "path length 2 != 4 x free mega cells (12)"),
+            ([(0, 2), (0, 3), (1, 3), (1, 2), (2, 4)] + [(2, 2)] * 7, True,
+             "cell 2,4 lies outside the grid"),
+            ([(0, 2), (-1, 3)] + [(2, 2)] * 10, True, "cell -1,3 lies outside the grid"),
+            ([(0, 2), (0, 0)] + [(2, 2)] * 10, True, "cell 0,0 is an obstacle"),
+            ([(0, 2), (1, 1)] + [(2, 2)] * 10, True, "cell 1,1 lies in a blocked mega cell"),
+            ([(0, 2), (0, 3), (0, 2)] + [(9, 9)] * 9, True, "cell 0,2 visited twice"),
+            ([(2, 0), (2, 1), (2, 2), (2, 3), (3, 3), (3, 2), (3, 1), (3, 0),
+              (0, 3), (0, 2), (1, 2), (1, 3)], True, "step 3,0 -> 0,3 is not 4-adjacent"),
+            ([(1, 3), (2, 0), (2, 1), (2, 2), (2, 3), (3, 3), (3, 2), (3, 1), (3, 0),
+              (0, 3), (0, 2), (1, 2)], True, "step 1,3 -> 2,0 is not 4-adjacent"),
+        ],
+    )
+    def test_failure_messages(self, cells, closed, message):
+        # mega (0, 0) is blocked by the obstacle at fine (0, 0); 3 free mega cells
+        obstacle = np.zeros((4, 4), dtype=bool)
+        obstacle[0, 0] = True
+        grid = HeightGrid(rows=4, cols=4, heights=np.zeros(16), obstacle=obstacle, spacing=1.0)
+        with pytest.raises(PathMismatchError) as info:
+            validate_path(CoveragePath(cells=cells, closed=closed), grid)
+        assert str(info.value) == message
+
+    def test_first_failing_cell_in_route_order_is_reported(self):
+        grid = HeightGrid(rows=2, cols=4, heights=[0.0] * 8, obstacle=[False] * 8, spacing=1.0)
+        # a repeat (position 2) comes before an outside cell (position 5)
+        cells = [(0, 0), (0, 1), (0, 0), (0, 3), (1, 3), (5, 5), (1, 1), (1, 0)]
+        with pytest.raises(PathMismatchError, match="^cell 0,0 visited twice$"):
+            validate_path(CoveragePath(cells=cells), grid)
+        cells[2] = (9, 0)
+        with pytest.raises(PathMismatchError, match="^cell 9,0 lies outside the grid$"):
+            validate_path(CoveragePath(cells=cells), grid)
 
     def test_rejects_obstacle_cell(self):
         obstacle = np.zeros((2, 2), dtype=bool)
         obstacle[1, 0] = True
         grid = HeightGrid(rows=2, cols=2, heights=[0.0] * 4, obstacle=obstacle, spacing=1.0)
-        path = CoveragePath(cells=(FineCell(0, 0), FineCell(0, 1), FineCell(1, 1), FineCell(1, 0)))
+        path = CoveragePath(cells=((0, 0), (0, 1), (1, 1), (1, 0)))
         with pytest.raises(PathMismatchError):
             validate_path(path, grid)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,15 @@ class TestHeightGridInvariants:
             HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=spacing)
         with pytest.raises(ValueError, match="finite"):
             MegaGrid(rows=1, cols=2, heights=[1, 2], blocked=[False] * 2, spacing=spacing)
+
+    def test_fine_spacing_must_double_to_a_finite_value(self):
+        with pytest.raises(ValueError, match="spacing"):
+            HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1e308)
+        largest = sys.float_info.max / 2
+        grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=largest)
+        assert aggregate(grid).spacing == sys.float_info.max
+        # a mega grid's spacing is never doubled again, so it only has to be finite
+        MegaGrid(rows=1, cols=2, heights=[1, 2], blocked=[False] * 2, spacing=1e308)
 
     def test_arrays_read_only(self):
         grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1.0)
@@ -221,6 +232,7 @@ class TestGenSpecValidation:
             (dict(rows=4, cols=4, spacing=0.0), "spacing"),
             (dict(rows=0, cols=4), "positive"),
             (dict(rows=4, cols=4, spacing=float("inf")), "finite"),
+            (dict(rows=4, cols=4, spacing=1e308), "spacing"),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs, match):
