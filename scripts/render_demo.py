@@ -41,12 +41,12 @@ def main() -> None:
     save_height_grid(grid, out_dir / "terrain.txt")
     mega = aggregate(grid)
     spec = WeightSpec.from_token(args.weight)
-    graph = build_graph(mega, spec)
+    graph = build_graph(mega)
     print(f"terrain {args.rows}x{args.cols}, avg slope {average_slope(mega):.3f}")
 
-    for name, build in (("mst", minimum_spanning_tree), ("classical", classical_spanning_tree)):
-        tree = build(graph)
-        route = circumnavigate(tree, mega)
+    trees = {"mst": minimum_spanning_tree(graph, spec), "classical": classical_spanning_tree(graph)}
+    for name, tree in trees.items():
+        route = circumnavigate(tree)
         save_path(route, out_dir / f"route_{name}.txt")
         (out_dir / f"route_{name}.svg").write_text(
             render_svg(grid, route, tree=tree), encoding="utf-8"

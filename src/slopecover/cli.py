@@ -1,7 +1,7 @@
 """Command-line front end: gen-terrain, plan, bench, render.
 
 Exit codes: 0 success, 2 invalid flags or config, 3 I/O or unreadable input,
-4 terrain generation failure, 5 disconnected terrain, 6 path/terrain
+4 terrain generation failure, 5 not exactly one free region, 6 path/terrain
 mismatch. Standard output carries machine-readable results only; diagnostics
 go to standard error.
 """
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Slope-aware full-coverage route planning on elevation grids.",
         epilog=(
             "exit codes: 0 ok, 2 invalid flags, 3 I/O failure, 4 generation failure, "
-            "5 disconnected terrain, 6 path/terrain mismatch"
+            "5 not exactly one free region, 6 path/terrain mismatch"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -168,18 +168,18 @@ def cmd_gen_terrain(args: argparse.Namespace) -> int:
             roughness=args.roughness,
             spacing=args.spacing,
         )
+        grid = generate_terrain(spec)  # raises ValueError only for flag values
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"invalid flags: {exc}")
-    grid = generate_terrain(spec)
     save_height_grid(grid, args.output)
     return EXIT_OK
 
 
-def _spanning_tree(graph: CoverageGraph, method: str) -> SpanningTree:
+def _spanning_tree(graph: CoverageGraph, spec: WeightSpec, method: str) -> SpanningTree:
     """The tree --method names. The builders are looked up as module globals
     at call time, so wrappers installed on this module see the call."""
     if method == "mst":
-        return minimum_spanning_tree(graph)
+        return minimum_spanning_tree(graph, spec)
     return classical_spanning_tree(graph)
 
 
@@ -187,8 +187,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     grid = load_height_grid(args.terrain)
     mega = aggregate(grid)
     spec = WeightSpec.from_token(args.weight)
-    tree = _spanning_tree(build_graph(mega, spec), args.method)
-    path = circumnavigate(tree, mega)
+    tree = _spanning_tree(build_graph(mega), spec, args.method)
+    path = circumnavigate(tree)
     try:
         slope = average_slope(mega)
     except ValueError:  # single free mega cell: no adjacent pair, flat by definition
@@ -276,8 +276,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     validate_path(path, grid)
     tree = None
     if args.show_tree:
-        graph = build_graph(aggregate(grid), WeightSpec.from_token(args.weight))
-        tree = _spanning_tree(graph, args.method)
+        spec = WeightSpec.from_token(args.weight)
+        tree = _spanning_tree(build_graph(aggregate(grid)), spec, args.method)
     text = svg_mod.render_svg(grid, path, tree=tree, cell_px=args.cell_px)
     with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)

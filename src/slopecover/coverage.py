@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from slopecover.spanning import SpanningTree
-from slopecover.terrain import HeightGrid, MegaGrid, blocked_mega_cells
+from slopecover.terrain import HeightGrid, blocked_mega_cells
 from slopecover.weights import WeightSpec, edge_weights, total_weight
 
 # (row, col) offsets of the sub-cell corners of a mega cell, clockwise
@@ -43,7 +43,7 @@ class PathMismatchError(ValueError):
     """Path is inconsistent with the terrain it is checked against."""
 
 
-def circumnavigate(tree: SpanningTree, mega: MegaGrid) -> CoveragePath:
+def circumnavigate(tree: SpanningTree) -> CoveragePath:
     """Walk clockwise around the spanning tree, hugging it, and return the
     closed cycle over fine cells.
 
@@ -55,17 +55,11 @@ def circumnavigate(tree: SpanningTree, mega: MegaGrid) -> CoveragePath:
     top-left sub-cell of node 0, the first free mega cell in row-major order.
     """
     g = tree.graph
-    if (
-        mega.rows != g.mega.rows
-        or mega.cols != g.mega.cols
-        or not np.array_equal(mega.blocked, g.mega.blocked)
-    ):
-        raise ValueError("mega grid does not match the tree's graph")
     n = len(g.nodes)
     # state 4u + k is corner k of node u. From corner k the walk crosses the
     # tree edge in direction k (up, right, down, left), if any, arriving at
     # the corner before k of the neighbour; otherwise it turns to corner k + 1.
-    incident = g.incident_edges()
+    incident = g.incident
     crossing = np.isin(incident, tree.edges)
     successor = np.arange(4 * n).reshape(n, 4) + (1, 1, 1, -3)
     u, k = np.nonzero(crossing)

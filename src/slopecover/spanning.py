@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slopecover.graph import CoverageGraph, _edge_weights
+from slopecover.graph import CoverageGraph
 from slopecover.weights import WeightSpec, total_weight
 
 
@@ -24,31 +24,30 @@ class SpanningTree:
         self.edges.setflags(write=False)
 
 
-def minimum_spanning_tree(g: CoverageGraph) -> SpanningTree:
-    """Kruskal with union-find.
+def minimum_spanning_tree(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:
+    """Kruskal with union-find over the edge weights under spec.
 
     The stable sort over the graph's canonical edge list breaks weight ties
     by edge index, so equal-weight graphs always yield the same tree.
     """
+    order = np.argsort(g.weights(spec, np.arange(len(g.edges))), kind="stable")
+    # the ends of each edge in sorted order; the weights are freed by now
+    a, b = g.edges[order].T.tolist()
     n = len(g.nodes)
-    a = g.edges[:, 0].tolist()
-    b = g.edges[:, 1].tolist()
     parent = list(range(n))
-    chosen: list[int] = []
-    for i in np.argsort(g.weight, kind="stable").tolist():
+    chosen: list[int] = []  # positions in order
+    for k, (ra, rb) in enumerate(zip(a, b)):
         # find both roots, halving the paths on the way
-        ra = a[i]
         while parent[ra] != ra:
             parent[ra] = ra = parent[parent[ra]]
-        rb = b[i]
         while parent[rb] != rb:
             parent[rb] = rb = parent[parent[rb]]
         if ra != rb:
             parent[ra] = rb
-            chosen.append(i)
+            chosen.append(k)
             if len(chosen) == n - 1:
                 break
-    return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
+    return SpanningTree(graph=g, edges=np.sort(order[chosen]))
 
 
 def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
@@ -56,7 +55,7 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     up, right, down, left. Deterministic representative of the unit-weight
     approach, where any spanning tree is minimal."""
     # pushed reversed so pops explore up, right, down, left
-    incident = g.incident_edges()[:, ::-1].tolist()
+    incident = g.incident[:, ::-1].tolist()
     ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
     visited = [False] * len(g.nodes)
     chosen: list[int] = []
@@ -75,11 +74,10 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
 
 
 def tree_weight(tree: SpanningTree, spec: WeightSpec) -> float:
-    """Total edge cost re-evaluated under spec, summed in canonical edge order.
+    """Total edge cost under spec, summed in canonical edge order.
 
     spec may differ from the spec the tree was built with; the baseline tree
     is built weight-blind but costed with slope-aware weights. Raises
     ValueError when the total is not finite.
     """
-    g = tree.graph
-    return total_weight(_edge_weights(g.mega, spec, g.edges[tree.edges]), "tree_weight")
+    return total_weight(tree.graph.weights(spec, tree.edges), "tree_weight")

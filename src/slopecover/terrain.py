@@ -211,14 +211,14 @@ def parse_height_grid(text: str) -> HeightGrid:
 
 def format_height_grid(grid: HeightGrid) -> str:
     """Serialize a grid to the terrain text format (9 significant digits)."""
-    lines = [f"{grid.rows} {grid.cols} {grid.spacing:.9g}"]
-    for row in grid.heights:
-        lines.append(" ".join(f"{v:.9g}" for v in row))
+    row = " ".join(["%.9g"] * grid.cols) + "\n"
+    text = f"{grid.rows} {grid.cols} {grid.spacing:.9g}\n"
+    text += (row * grid.rows) % tuple(grid.heights.ravel().tolist())
     if grid.obstacle.any():
-        lines.append("MASK")
-        for row in grid.obstacle:
-            lines.append("".join(_MASK_OBSTACLE if flag else _MASK_FREE for flag in row))
-    return "\n".join(lines) + "\n"
+        mask = np.full((grid.rows, grid.cols + 1), ord("\n"), dtype=np.uint8)
+        mask[:, :-1] = np.where(grid.obstacle, ord(_MASK_OBSTACLE), ord(_MASK_FREE))
+        text += "MASK\n" + mask.tobytes().decode("ascii")
+    return text
 
 
 def load_height_grid(path: str | Path) -> HeightGrid:
@@ -237,7 +237,8 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     the aggregated grid's average slope equals spec.roughness. Rectangular
     obstacle patches (exactly max_obstacles of them, so the merged region
     count stays <= max_obstacles) are redrawn until the free mega cells form
-    a single connected region.
+    a single connected region. Raises ValueError when spacing and roughness
+    scale the heights past the largest float.
     """
     rng = np.random.default_rng(spec.seed)
     field = _midpoint_displacement(rng, spec.rows, spec.cols)
@@ -339,6 +340,11 @@ def _calibrate_slope(field: np.ndarray, blocked: np.ndarray, spec: TerrainGenSpe
     d = 2.0 * spec.spacing
     total, count = slope_sum(mega, blocked)
     if count > 0 and total > 0.0:
-        return field * (spec.roughness * d * count / total)
-    # no free adjacent pair (single mega cell): slope target is undefined
-    return field * spec.roughness
+        heights = field * (spec.roughness * d * count / total)
+    else:  # no free adjacent pair (single mega cell): slope target is undefined
+        heights = field * spec.roughness
+    if not np.isfinite(heights).all():
+        raise ValueError(
+            f"spacing {spec.spacing!r} with roughness {spec.roughness!r} overflows the heights"
+        )
+    return heights

@@ -39,11 +39,15 @@ def flood_fill_regions(mask: np.ndarray) -> int:
     return regions
 
 
-def brute_force_min_spanning_weight(graph: CoverageGraph) -> float:
-    """Minimum spanning-tree weight by enumerating every (n-1)-edge subset."""
+def brute_force_min_spanning_weight(graph: CoverageGraph, spec: WeightSpec) -> float:
+    """Minimum spanning-tree weight under spec by enumerating every (n-1)-edge
+    subset, each edge priced by the scalar edge_weight."""
     n = len(graph.nodes)
     if n == 1:
         return 0.0
+    mega = graph.mega
+    heights = [float(mega.heights[r, c]) for r, c in graph.nodes.tolist()]
+    cost = [edge_weight(spec, heights[a], heights[b], mega.spacing) for a, b in graph.edges.tolist()]
     best = None
     for combo in itertools.combinations(range(len(graph.edges)), n - 1):
         parent = list(range(n))
@@ -64,7 +68,7 @@ def brute_force_min_spanning_weight(graph: CoverageGraph) -> float:
             parent[ra] = rb
             joined += 1
         if acyclic and joined == n - 1:
-            weight = sum(float(graph.weight[i]) for i in combo)
+            weight = sum(cost[i] for i in combo)
             if best is None or weight < best:
                 best = weight
     assert best is not None, "graph passed to the oracle must be connected"

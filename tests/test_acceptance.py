@@ -41,9 +41,9 @@ def test_criterion_2_mst_oracle():
     for _ in range(200):
         mega = random_connected_mega(rng, max_nodes=8)
         spec = random_weight_spec(rng)
-        graph = build_graph(mega, spec)
-        expected = brute_force_min_spanning_weight(graph)
-        actual = tree_weight(minimum_spanning_tree(graph), spec)
+        graph = build_graph(mega)
+        expected = brute_force_min_spanning_weight(graph, spec)
+        actual = tree_weight(minimum_spanning_tree(graph, spec), spec)
         assert actual == pytest.approx(expected, rel=1e-9)
 
 
@@ -60,8 +60,8 @@ def test_criterion_3_coverage_invariants():
         )
         grid = generate_terrain(spec)
         mega = aggregate(grid)
-        tree = minimum_spanning_tree(build_graph(mega, WeightSpec.PYTHAGORAS))
-        path = circumnavigate(tree, mega)
+        tree = minimum_spanning_tree(build_graph(mega), WeightSpec.PYTHAGORAS)
+        path = circumnavigate(tree)
         assert path.closed
         assert len(path.cells) == 4 * int((~mega.blocked).sum())
         assert coverage_violations(path, grid) == []
@@ -76,8 +76,8 @@ def test_criterion_4_flat_equivalence():
         )
         mega = aggregate(grid)
         for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
-            graph = build_graph(mega, spec)
-            mst_w = tree_weight(minimum_spanning_tree(graph), spec)
+            graph = build_graph(mega)
+            mst_w = tree_weight(minimum_spanning_tree(graph, spec), spec)
             classical_w = tree_weight(classical_spanning_tree(graph), spec)
             assert mst_w == pytest.approx(classical_w, rel=1e-9)
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from slopecover import bench as bench_mod
 from slopecover.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -51,6 +52,18 @@ class TestConfig:
 
 
 class TestRun:
+    def test_graph_and_baseline_built_once_per_terrain(self, monkeypatch):
+        calls = {"build_graph": 0, "classical_spanning_tree": 0}
+        for name in calls:
+            def counting(*args, _build=getattr(bench_mod, name), _name=name):
+                calls[_name] += 1
+                return _build(*args)
+
+            monkeypatch.setattr(bench_mod, name, counting)
+        cfg = small_config(terrain_count=3, weight_specs=tuple(WeightSpec))
+        assert len(run_benchmark(cfg)) == 3 * len(WeightSpec)
+        assert calls == {"build_graph": 3, "classical_spanning_tree": 3}
+
     def test_record_count_and_order(self):
         cfg = small_config()
         records = run_benchmark(cfg)

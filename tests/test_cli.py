@@ -58,16 +58,24 @@ class TestGenTerrain:
         assert code == 2
         assert "even" in err
 
-    # 1e308 is finite, but aggregation doubles it past the largest float
-    @pytest.mark.parametrize("spacing", ["inf", "nan", "0", "-1", "1e308"])
-    def test_invalid_spacing_exit_2(self, tmp_path, capsys, spacing):
+    # 1e308 is finite, but aggregation doubles it past the largest float; 5e307
+    # doubles to a finite value, but roughness 0.5 then scales heights past it
+    @pytest.mark.parametrize(
+        "spacing, roughness",
+        [("inf", "0"), ("nan", "0"), ("0", "0"), ("-1", "0"), ("1e308", "0"), ("5e307", "0.5")],
+        ids=["inf", "nan", "0", "-1", "1e308", "5e307-roughness-0.5"],
+    )
+    def test_invalid_spacing_exit_2(self, tmp_path, capsys, spacing, roughness):
         out = tmp_path / "t.txt"
         code, _, err = run(
-            ["gen-terrain", "--rows", "4", "--cols", "4", "--spacing", spacing, "-o", str(out)],
+            ["gen-terrain", "--rows", "4", "--cols", "4", "--spacing", spacing,
+             "--roughness", roughness, "-o", str(out)],
             capsys,
         )
         assert code == 2
-        assert "spacing" in err
+        assert "invalid flags" in err and "spacing" in err
+        if roughness != "0":
+            assert "roughness" in err
         assert not out.exists()
 
     def test_unwritable_output_exit_3(self, tmp_path, capsys):
@@ -160,6 +168,17 @@ class TestPlan:
         code, _, err = self.plan(terrain, tmp_path / "o.txt", capsys)
         assert code == 5
         assert "2 disconnected" in err
+
+
+    def test_all_blocked_terrain_exit_5(self, tmp_path, capsys):
+        terrain = tmp_path / "blocked.txt"
+        terrain.write_text("2 2 1.0\n0 0\n0 0\nMASK\n##\n##\n")
+        output = tmp_path / "o.txt"
+        code, out, err = self.plan(terrain, output, capsys)
+        assert code == 5
+        assert out == ""
+        assert "no free cells" in err
+        assert not output.exists()
 
 
 class TestBench:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_edges, flood_fill_regions
-from slopecover.graph import DisconnectedGridError, average_slope, build_graph
+from slopecover.graph import CoverageGraph, DisconnectedGridError, average_slope, build_graph
 from slopecover.terrain import MegaGrid
 from slopecover.weights import WeightSpec, edge_weight
 
@@ -25,14 +27,14 @@ def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
 
 
 def test_two_free_cells_single_edge():
-    g = build_graph(mega([[0.0, 0.0]], spacing=2.0), WeightSpec.PYTHAGORAS)
+    g = build_graph(mega([[0.0, 0.0]], spacing=2.0))
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
-    assert g.weight[0] == 2.0
+    assert g.weights(WeightSpec.PYTHAGORAS, [0]).tolist() == [2.0]
 
 
 def test_flat_2x2_has_four_edges_no_diagonals():
-    g = build_graph(mega([[1.0, 1.0], [1.0, 1.0]]), WeightSpec.PYTHAGORAS)
+    g = build_graph(mega([[1.0, 1.0], [1.0, 1.0]]))
     assert len(g.nodes) == 4
     assert len(g.edges) == 4
     assert all(a != b for a, b in g.edges.tolist())
@@ -43,7 +45,7 @@ def test_flat_2x2_has_four_edges_no_diagonals():
 
 def test_2x2_with_one_blocked_cell():
     blocked = np.array([[False, False], [False, True]])
-    g = build_graph(mega([[0.0, 1.0], [2.0, 3.0]], blocked), WeightSpec.PYTHAGORAS)
+    g = build_graph(mega([[0.0, 1.0], [2.0, 3.0]], blocked))
     # free cells (0,0), (0,1), (1,0); adjacency enumerated by hand:
     # (0,0)-(0,1) and (0,0)-(1,0)
     assert len(g.nodes) == 3
@@ -54,26 +56,26 @@ def test_2x2_with_one_blocked_cell():
 
 def test_unit_spec_gives_unit_weights():
     heights = np.arange(12, dtype=float).reshape(3, 4) * 3.7
-    g = build_graph(mega(heights), WeightSpec.UNIT)
-    assert all(w == 1.0 for w in g.weight.tolist())
+    g = build_graph(mega(heights))
+    assert all(w == 1.0 for w in g.weights(WeightSpec.UNIT, np.arange(len(g.edges))).tolist())
 
 
 def test_edges_enumerated_row_major_right_then_down():
-    g = build_graph(mega([[0.0, 0.0], [0.0, 0.0]]), WeightSpec.UNIT)
+    g = build_graph(mega([[0.0, 0.0], [0.0, 0.0]]))
     assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
 
 
 @settings(max_examples=40)
 @given(rows=st.integers(min_value=1, max_value=6), cols=st.integers(min_value=1, max_value=6))
 def test_edge_count_identity_without_obstacles(rows, cols):
-    g = build_graph(mega(np.zeros((rows, cols))), WeightSpec.UNIT)
+    g = build_graph(mega(np.zeros((rows, cols))))
     assert len(g.edges) == rows * (cols - 1) + cols * (rows - 1)
     assert len(g.edges) <= 2 * rows * cols
 
 
 def test_degree_bound():
     rng = np.random.default_rng(17)
-    g = build_graph(mega(rng.normal(0, 1, (6, 7))), WeightSpec.PYTHAGORAS)
+    g = build_graph(mega(rng.normal(0, 1, (6, 7))))
     degrees = [0] * len(g.nodes)
     for a, b in g.edges.tolist():
         degrees[a] += 1
@@ -84,8 +86,9 @@ def test_degree_bound():
 def test_weights_match_edge_weight_of_spec():
     rng = np.random.default_rng(3)
     m = mega(rng.normal(0, 2, (3, 3)), spacing=1.5)
-    g = build_graph(m, WeightSpec.SLOPE_PENALTY)
-    for (a, b), weight in zip(g.edges.tolist(), g.weight.tolist()):
+    g = build_graph(m)
+    weights = g.weights(WeightSpec.SLOPE_PENALTY, np.arange(len(g.edges)))
+    for (a, b), weight in zip(g.edges.tolist(), weights.tolist()):
         h1 = m.heights[tuple(g.nodes[a])]
         h2 = m.heights[tuple(g.nodes[b])]
         expected = np.hypot(1.5, h1 - h2) * (1 + abs(h1 - h2) / 1.5)
@@ -95,9 +98,9 @@ def test_weights_match_edge_weight_of_spec():
 def test_disconnected_free_cells_raise_with_component_count():
     blocked = np.array([[False, True, False]])
     with pytest.raises(DisconnectedGridError, match="2 disconnected"):
-        build_graph(mega([[0.0, 0.0, 0.0]], blocked), WeightSpec.UNIT)
+        build_graph(mega([[0.0, 0.0, 0.0]], blocked))
     try:
-        build_graph(mega([[0.0, 0.0, 0.0]], blocked), WeightSpec.UNIT)
+        build_graph(mega([[0.0, 0.0, 0.0]], blocked))
     except DisconnectedGridError as exc:
         assert exc.components == 2
 
@@ -105,23 +108,34 @@ def test_disconnected_free_cells_raise_with_component_count():
 def test_no_free_cells_rejected():
     blocked = np.ones((2, 2), dtype=bool)
     with pytest.raises(ValueError, match="no free cells"):
-        build_graph(mega(np.zeros((2, 2)), blocked), WeightSpec.UNIT)
+        build_graph(mega(np.zeros((2, 2)), blocked))
 
 
 def test_node_lookup():
     blocked = np.array([[False, True], [False, False]])
-    g = build_graph(mega(np.zeros((2, 2)), blocked), WeightSpec.UNIT)
-    assert g.node_index.tolist() == [[0, -1], [1, 2]]  # -1: blocked
-    assert g.nodes.tolist() == [[0, 0], [1, 0], [1, 1]]
+    g = build_graph(mega(np.zeros((2, 2)), blocked))
+    assert g.nodes.tolist() == [[0, 0], [1, 0], [1, 1]]  # (0, 1) is blocked: no node
     # edges (0, 1) down from (0, 0) and (1, 2) right from (1, 0)
-    assert g.edge_at.tolist() == [[[-1, 0], [-1, -1]], [[1, -1], [-1, -1]]]
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
     # up, right, down, left edge of each node
-    assert g.incident_edges().tolist() == [[-1, -1, 0, -1], [0, 1, -1, -1], [-1, -1, -1, 1]]
+    assert g.incident.tolist() == [[-1, -1, 0, -1], [0, 1, -1, -1], [-1, -1, -1, 1]]
+
+
+def test_graph_is_topology_only():
+    assert [f.name for f in fields(CoverageGraph)] == ["mega", "nodes", "edges", "incident"]
+    m = mega(np.arange(4.0).reshape(2, 2))
+    g = build_graph(m)
+    # one graph serves every spec
+    for spec in WeightSpec:
+        expected = [edge_weight(spec, float(m.heights.flat[a]), float(m.heights.flat[b]), 2.0)
+                    for a, b in g.edges.tolist()]
+        assert g.weights(spec, np.arange(4)).tolist() == expected
+        assert g.weights(spec, [3, 0]).tolist() == [expected[3], expected[0]]
 
 
 def test_arrays_read_only():
-    g = build_graph(mega(np.zeros((2, 2))), WeightSpec.UNIT)
-    for array in (g.node_index, g.nodes, g.edges, g.weight, g.edge_at):
+    g = build_graph(mega(np.zeros((2, 2))))
+    for array in (g.nodes, g.edges, g.incident):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -140,27 +154,28 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
     free = ~blocked
     if not free.any():
         with pytest.raises(ValueError, match="no free cells"):
-            build_graph(m, spec)
+            build_graph(m)
         return
     regions = flood_fill_regions(free)
     if regions != 1:
         with pytest.raises(DisconnectedGridError) as info:
-            build_graph(m, spec)
+            build_graph(m)
         assert info.value.components == regions
         return
-    g = build_graph(m, spec)
+    g = build_graph(m)
     cells, pairs = enumerate_edges(m)
     assert g.nodes.tolist() == [list(cell) for cell in cells]
-    for i, (r, c) in enumerate(cells):
-        assert g.node_index[r, c] == i
-    assert int((g.node_index >= 0).sum()) == len(cells)
     assert g.edges.tolist() == [list(pair) for pair in pairs]
+    incident = [[-1] * 4 for _ in cells]
+    weights = g.weights(spec, np.arange(len(pairs))).tolist()
     for i, (a, b) in enumerate(pairs):
         (ra, ca), (rb, cb) = cells[a], cells[b]
-        assert g.edge_at[ra, ca, 0 if ra == rb else 1] == i
+        # a right edge is a's slot 1 and b's slot 3; a down edge a's slot 2 and b's slot 0
+        incident[a][1 if ra == rb else 2] = i
+        incident[b][3 if ra == rb else 0] = i
         h1, h2 = float(m.heights[ra, ca]), float(m.heights[rb, cb])
-        assert g.weight[i] == edge_weight(spec, h1, h2, m.spacing)  # exact, not approx
-    assert int((g.edge_at >= 0).sum()) == len(pairs)
+        assert weights[i] == edge_weight(spec, h1, h2, m.spacing)  # exact, not approx
+    assert g.incident.tolist() == incident
 
 
 class TestAverageSlope:

@@ -90,6 +90,24 @@ class TestParsing:
         # after one round trip the text representation is a fixpoint
         assert format_height_grid(back) == text
 
+    def test_bytes_match_per_value_format(self):
+        rng = np.random.default_rng(12)
+        for i in range(20):
+            rows, cols = (2 * rng.integers(1, 8, size=2)).tolist()
+            exponents = rng.integers(-300, 300, (rows, cols))
+            heights = rng.normal(0.0, 1.0, (rows, cols)) * 10.0**exponents
+            heights[0, :2] = (0.0, -0.0)
+            obstacle = (rng.random((rows, cols)) < 0.3) & (i % 2 == 1)
+            grid = HeightGrid(
+                rows=rows, cols=cols, heights=heights, obstacle=obstacle, spacing=rng.uniform(0.1, 9)
+            )
+            lines = [f"{rows} {cols} {grid.spacing:.9g}"]
+            lines += [" ".join(f"{v:.9g}" for v in row) for row in heights.tolist()]
+            if obstacle.any():
+                lines.append("MASK")
+                lines += ["".join("#" if flag else "." for flag in row) for row in obstacle.tolist()]
+            assert format_height_grid(grid) == "\n".join(lines) + "\n"
+
     def test_mask_omitted_when_obstacle_free(self):
         grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1.0)
         assert "MASK" not in format_height_grid(grid)
