@@ -259,12 +259,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return _fail(EXIT_USAGE, f"invalid benchmark config: {exc}")
     records = bench_mod.run_benchmark(cfg)
     trends = bench_mod.trend_statistics(records) if cfg.terrain_count >= 3 else ()
-    text = bench_mod.format_csv(records, trends)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        bench_mod.write_csv(records, trends, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(bench_mod.format_csv(records, trends))
     return EXIT_OK
 
 
@@ -279,8 +277,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         spec = WeightSpec.from_token(args.weight)
         tree = _spanning_tree(build_graph(aggregate(grid)), spec, args.method)
     text = svg_mod.render_svg(grid, path, tree=tree, cell_px=args.cell_px)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    Path(args.output).write_text(text, encoding="utf-8", newline="\n")
     return EXIT_OK
 
 

@@ -190,5 +190,4 @@ def load_path_file(path: str | Path) -> CoveragePath:
 
 
 def save_path(path: CoveragePath, file: str | Path) -> None:
-    with open(file, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_path(path))
+    Path(file).write_text(format_path(path), encoding="utf-8", newline="\n")

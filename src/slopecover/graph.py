@@ -6,18 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slopecover.terrain import MegaGrid, component_count, slope_sum
+from slopecover.terrain import MegaGrid, slope_sum
 from slopecover.weights import WeightSpec, edge_weights
 
 
 class DisconnectedGridError(ValueError):
     """Free mega cells do not form exactly one region; one closed tour needs one."""
 
-    def __init__(self, components: int, detail: str = ""):
+    def __init__(self, components: int):
         message = (f"free mega cells form {components} disconnected regions (need exactly 1)"
                    if components else "mega grid has no free cells (need exactly 1 free region)")
-        if detail:
-            message = f"{detail}: {message}"
         super().__init__(message)
         self.components = components
 
@@ -49,13 +47,11 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     """One node per free mega cell, one edge per 4-adjacent free pair.
 
     Edges are enumerated row-major, right then down, so downstream
-    tie-breaking is reproducible. Raises DisconnectedGridError unless the
-    free cells form exactly one region.
+    tie-breaking is reproducible. There is no connectivity check: any mask,
+    even one with no free cell, gives its topology, and the spanning-tree
+    builders raise DisconnectedGridError unless the free cells form one region.
     """
     free = ~mega.blocked
-    components = component_count(free)
-    if components != 1:
-        raise DisconnectedGridError(components)
     # slot k of cell (r, c) holds its up, right, down or left edge, or -1; the
     # row-major order of the right and down slots is the canonical edge order
     has_edge = np.zeros((mega.rows, mega.cols, 4), dtype=bool)

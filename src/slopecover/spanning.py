@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slopecover.graph import CoverageGraph
+from slopecover.graph import CoverageGraph, DisconnectedGridError
+from slopecover.terrain import component_count
 from slopecover.weights import WeightSpec, total_weight
 
 
@@ -28,7 +29,8 @@ def minimum_spanning_tree(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:
     """Kruskal with union-find over the edge weights under spec.
 
     The stable sort over the graph's canonical edge list breaks weight ties
-    by edge index, so equal-weight graphs always yield the same tree.
+    by edge index, so equal-weight graphs always yield the same tree. Raises
+    DisconnectedGridError unless the free cells form exactly one region.
     """
     order = np.argsort(g.weights(spec, np.arange(len(g.edges))), kind="stable")
     # the ends of each edge in sorted order; the weights are freed by now
@@ -47,19 +49,23 @@ def minimum_spanning_tree(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:
             chosen.append(k)
             if len(chosen) == n - 1:
                 break
+    if len(chosen) != n - 1:  # each chosen edge merged two regions
+        raise DisconnectedGridError(n - len(chosen))
     return SpanningTree(graph=g, edges=np.sort(order[chosen]))
 
 
 def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     """Weight-blind spanning tree: depth-first from the root, neighbours tried
     up, right, down, left. Deterministic representative of the unit-weight
-    approach, where any spanning tree is minimal."""
+    approach, where any spanning tree is minimal. Raises DisconnectedGridError
+    unless the free cells form exactly one region."""
     # pushed reversed so pops explore up, right, down, left
     incident = g.incident[:, ::-1].tolist()
     ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
-    visited = [False] * len(g.nodes)
+    n = len(g.nodes)
+    visited = [False] * n
     chosen: list[int] = []
-    stack: list[tuple[int, int]] = [(0, -1)]
+    stack: list[tuple[int, int]] = [(0, -1)] if n else []
     while stack:
         u, via = stack.pop()
         if visited[u]:
@@ -70,6 +76,8 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
         for e in incident[u]:
             if e >= 0 and not visited[ends[e] - u]:
                 stack.append((ends[e] - u, e))
+    if len(chosen) != n - 1:  # the search missed a region; count them only now
+        raise DisconnectedGridError(component_count(~g.mega.blocked))
     return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
 
 

@@ -197,15 +197,19 @@ def parse_height_grid(text: str) -> HeightGrid:
             raise TerrainParseError(f"expected 'MASK' or end of file, got {rest[0]!r}")
         if len(rest) != 1 + rows:
             raise TerrainParseError(f"mask section: expected {rows} rows, found {len(rest) - 1}")
-        for i in range(rows):
-            line = rest[1 + i].strip()
-            if len(line) != cols:
-                raise TerrainParseError(f"mask row {i}: expected {cols} characters, got {len(line)}")
-            for j, ch in enumerate(line):
-                if ch == _MASK_OBSTACLE:
-                    obstacle[i, j] = True
-                elif ch != _MASK_FREE:
-                    raise TerrainParseError(f"mask row {i}: invalid character {ch!r}")
+        mask = [line.strip() for line in rest[1:]]
+        # rows before the first one of the wrong length; a bad character in them is reported first
+        good = next((i for i, line in enumerate(mask) if len(line) != cols), rows)
+        encoded = "".join(mask[:good]).encode("utf-32-le", "surrogatepass")  # 4 bytes a character
+        chars = np.frombuffer(encoded, dtype=np.uint32).reshape(good, cols)
+        obstacle = chars == ord(_MASK_OBSTACLE)
+        invalid = np.flatnonzero(~obstacle & (chars != ord(_MASK_FREE)))
+        if invalid.size:
+            i, j = divmod(int(invalid[0]), cols)
+            raise TerrainParseError(f"mask row {i}: invalid character {mask[i][j]!r}")
+        if good < rows:
+            got = len(mask[good])
+            raise TerrainParseError(f"mask row {good}: expected {cols} characters, got {got}")
     return HeightGrid(rows=rows, cols=cols, heights=values, obstacle=obstacle, spacing=spacing)
 
 
@@ -226,8 +230,7 @@ def load_height_grid(path: str | Path) -> HeightGrid:
 
 
 def save_height_grid(grid: HeightGrid, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_height_grid(grid))
+    Path(path).write_text(format_height_grid(grid), encoding="utf-8", newline="\n")
 
 
 def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:

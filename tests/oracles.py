@@ -193,3 +193,18 @@ def scalar_path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> 
     for a, b in zip(cells, successors):
         total += edge_weight(spec, float(grid.heights[a]), float(grid.heights[b]), grid.spacing)
     return total
+
+
+def parse_mask_rows(rows: list[str], cols: int) -> list[list[bool]] | str:
+    """Obstacle flags of stripped mask rows, checked one character at a time
+    in row order, or the message of the first failing row."""
+    flags = []
+    for i, raw in enumerate(rows):
+        line = raw.strip()
+        if len(line) != cols:
+            return f"mask row {i}: expected {cols} characters, got {len(line)}"
+        for ch in line:
+            if ch not in "#.":
+                return f"mask row {i}: invalid character {ch!r}"
+        flags.append([ch == "#" for ch in line])
+    return flags

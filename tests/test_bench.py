@@ -46,6 +46,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="even"):
             BenchConfig(rows=15, cols=16, seeds=(1,), roughness_schedule=(0.1,))
 
+    def test_every_terrain_spec_checked(self):
+        # terrain 0 is valid; a later terrain's roughness or seed is not
+        with pytest.raises(ValueError, match=r"roughness must lie in \[0, 1\], got 1.5"):
+            BenchConfig(rows=16, cols=16, seeds=(1, 2), roughness_schedule=(0.1, 1.5))
+        with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
+            BenchConfig(rows=16, cols=16, seeds=(1, -2), roughness_schedule=(0.1, 0.2))
+
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError, match="weight spec"):
             BenchConfig(rows=16, cols=16, seeds=(1,), roughness_schedule=(0.1,), weight_specs=())

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from slopecover.bench import BenchConfig, run_benchmark
 from slopecover.cli import main
 from slopecover.terrain import load_height_grid
 
@@ -169,6 +171,16 @@ class TestPlan:
         assert code == 5
         assert "2 disconnected" in err
 
+    def test_disconnected_terrain_classical_exit_5(self, tmp_path, capsys):
+        # the depth-first baseline finds the split itself, with the MST's message
+        terrain = tmp_path / "split.txt"
+        terrain.write_text(SPLIT_8X8)
+        output = tmp_path / "o.txt"
+        code, out, err = self.plan(terrain, output, capsys, method="classical")
+        assert code == 5
+        assert out == ""
+        assert err == "error: free mega cells form 2 disconnected regions (need exactly 1)\n"
+        assert not output.exists()
 
     def test_all_blocked_terrain_exit_5(self, tmp_path, capsys):
         terrain = tmp_path / "blocked.txt"
@@ -179,6 +191,39 @@ class TestPlan:
         assert out == ""
         assert "no free cells" in err
         assert not output.exists()
+
+    def test_all_blocked_terrain_classical_exit_5(self, tmp_path, capsys):
+        terrain = tmp_path / "blocked.txt"
+        terrain.write_text("2 2 1.0\n0 0\n0 0\nMASK\n##\n##\n")
+        output = tmp_path / "o.txt"
+        code, out, err = self.plan(terrain, output, capsys, method="classical")
+        assert code == 5
+        assert out == ""
+        assert err == "error: mega grid has no free cells (need exactly 1 free region)\n"
+        assert not output.exists()
+
+
+def test_region_count_runs_only_in_the_generator(tmp_path, capsys, monkeypatch):
+    # on a connected terrain the spanning tree itself proves one region, so no
+    # module but the generator's may count regions on the plan or bench path
+    terrain = tmp_path / "t.txt"
+    assert run(["gen-terrain", "--rows", "16", "--cols", "16", "--seed", "3",
+                "--obstacles", "2", "--roughness", "0.3", "-o", str(terrain)], capsys)[0] == 0
+
+    def forbidden(mask):
+        raise AssertionError("component_count called outside the generator")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("slopecover.") and name != "slopecover.terrain":
+            if hasattr(module, "component_count"):
+                monkeypatch.setattr(module, "component_count", forbidden)
+    for method in ("mst", "classical"):
+        code, _, err = run(["plan", "--terrain", str(terrain), "--method", method,
+                            "-o", str(tmp_path / f"{method}.txt")], capsys)
+        assert (code, err) == (0, ""), method
+        assert (tmp_path / f"{method}.txt").exists()
+    cfg = BenchConfig.from_master_seed(5, terrain_count=2, rows=16, cols=16, max_obstacles=2)
+    assert len(run_benchmark(cfg)) == 4
 
 
 class TestBench:
@@ -199,6 +244,19 @@ class TestBench:
         code, _, err = run(["bench", "--terrains", "0"], capsys)
         assert code == 2
         assert "at least 1" in err
+
+    def test_roughness_beyond_one_exit_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        # the schedule is 0.05, 1.025, 2: terrain 0 is valid, terrain 1 is the first that is not
+        monkeypatch.setattr("slopecover.bench.generate_terrain", lambda spec: pytest.fail(
+            "a terrain was generated before the whole schedule was checked"))
+        output = tmp_path / "b.csv"
+        code, out, err = run(["bench", "--terrains", "3", "--rows", "16", "--cols", "16",
+                              "--obstacles", "1", "--roughness-max", "2", "-o", str(output)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: invalid benchmark config: "
+                       "roughness must lie in [0, 1], got 1.025\n")
+        assert not output.exists()
 
     def test_byte_identical_csv_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import enumerate_edges, flood_fill_regions
 from slopecover.graph import CoverageGraph, DisconnectedGridError, average_slope, build_graph
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree
 from slopecover.terrain import MegaGrid
 from slopecover.weights import WeightSpec, edge_weight
 
@@ -95,20 +96,27 @@ def test_weights_match_edge_weight_of_spec():
         assert weight == pytest.approx(expected, rel=1e-12)
 
 
+def assert_builders_reject(g: CoverageGraph, components: int, match: str) -> None:
+    """Both spanning-tree builders raise DisconnectedGridError with this region count."""
+    for build in (lambda: minimum_spanning_tree(g, WeightSpec.PYTHAGORAS),
+                  lambda: classical_spanning_tree(g)):
+        with pytest.raises(DisconnectedGridError, match=match) as info:
+            build()
+        assert info.value.components == components
+
+
 def test_disconnected_free_cells_raise_with_component_count():
-    blocked = np.array([[False, True, False]])
-    with pytest.raises(DisconnectedGridError, match="2 disconnected"):
-        build_graph(mega([[0.0, 0.0, 0.0]], blocked))
-    try:
-        build_graph(mega([[0.0, 0.0, 0.0]], blocked))
-    except DisconnectedGridError as exc:
-        assert exc.components == 2
+    # build_graph gives the topology of any mask; the tree builders find the regions
+    g = build_graph(mega([[0.0, 0.0, 0.0]], np.array([[False, True, False]])))
+    assert g.nodes.tolist() == [[0, 0], [0, 2]]
+    assert g.edges.shape == (0, 2)
+    assert_builders_reject(g, 2, "^free mega cells form 2 disconnected regions \\(need exactly 1\\)$")
 
 
 def test_no_free_cells_rejected():
-    blocked = np.ones((2, 2), dtype=bool)
-    with pytest.raises(ValueError, match="no free cells"):
-        build_graph(mega(np.zeros((2, 2)), blocked))
+    g = build_graph(mega(np.zeros((2, 2)), np.ones((2, 2), dtype=bool)))
+    assert (g.nodes.shape, g.edges.shape, g.incident.shape) == ((0, 2), (0, 2), (0, 4))
+    assert_builders_reject(g, 0, "^mega grid has no free cells \\(need exactly 1 free region\\)$")
 
 
 def test_node_lookup():
@@ -151,17 +159,6 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
     rng = np.random.default_rng(seed)
     blocked = rng.random((rows, cols)) < 0.3
     m = mega(rng.normal(0.0, 3.0, (rows, cols)), blocked, spacing=float(rng.uniform(0.5, 3.0)))
-    free = ~blocked
-    if not free.any():
-        with pytest.raises(ValueError, match="no free cells"):
-            build_graph(m)
-        return
-    regions = flood_fill_regions(free)
-    if regions != 1:
-        with pytest.raises(DisconnectedGridError) as info:
-            build_graph(m)
-        assert info.value.components == regions
-        return
     g = build_graph(m)
     cells, pairs = enumerate_edges(m)
     assert g.nodes.tolist() == [list(cell) for cell in cells]
@@ -176,6 +173,9 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
         h1, h2 = float(m.heights[ra, ca]), float(m.heights[rb, cb])
         assert weights[i] == edge_weight(spec, h1, h2, m.spacing)  # exact, not approx
     assert g.incident.tolist() == incident
+    regions = flood_fill_regions(~blocked)
+    if regions != 1:  # disconnected or empty: neither builder gives a tree
+        assert_builders_reject(g, regions, "disconnected" if regions else "no free cells")
 
 
 class TestAverageSlope:

@@ -4,10 +4,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_fill_regions
+from oracles import flood_fill_regions, parse_mask_rows
 from slopecover.graph import average_slope
 from slopecover.terrain import (
     HeightGrid,
@@ -67,6 +67,49 @@ class TestParsing:
     def test_bad_mask_character(self):
         with pytest.raises(TerrainParseError, match="invalid character"):
             parse_height_grid("2 2 1.0\n1 2\n3 4\nMASK\n.?\n..\n")
+
+    # messages recorded from the per-character parser: the first failing row
+    # wins, and within a row a wrong length beats a bad character
+    @pytest.mark.parametrize(
+        "mask, message",
+        [
+            ((".?x.", "..#."), "mask row 0: invalid character '?'"),
+            (("..#.", ".?x."), "mask row 1: invalid character '?'"),
+            ((".?..", "....."), "mask row 0: invalid character '?'"),
+            (("....#", ".?.."), "mask row 0: expected 4 characters, got 5"),
+            (("?.....", "...."), "mask row 0: expected 4 characters, got 6"),
+            ((".é..", "...."), "mask row 0: invalid character 'é'"),
+            (("....", "\U0001F600#.."), "mask row 1: invalid character '\U0001F600'"),
+            (("#\x00..", "...."), "mask row 0: invalid character '\\x00'"),
+            (("#\t.#", "...."), "mask row 0: invalid character '\\t'"),
+            (("#\ud800..", "...."), "mask row 0: invalid character '\\ud800'"),
+            (("", "...."), "mask row 0: expected 4 characters, got 0"),
+            (("....", "#.#"), "mask row 1: expected 4 characters, got 3"),
+        ],
+    )
+    def test_mask_errors(self, mask, message):
+        text = "2 4 1.0\n0 0 0 0\n0 0 0 0\nMASK\n" + "\n".join(mask) + "\n"
+        with pytest.raises(TerrainParseError) as info:
+            parse_height_grid(text)
+        assert str(info.value) == message
+
+    @settings(max_examples=300)
+    @given(
+        cols=st.sampled_from([2, 4]),
+        mask=st.lists(st.text(alphabet=st.sampled_from(list("..##. \t?é\x00\U0001F600")),
+                              max_size=6), min_size=2, max_size=2),
+    )
+    def test_mask_matches_per_character_reference(self, cols, mask):
+        assume(mask[-1].strip())  # the parser drops trailing blank lines before the mask
+        heights = "\n".join([" ".join(["0"] * cols)] * 2)
+        text = f"2 {cols} 1.0\n{heights}\nMASK\n" + "\n".join(mask) + "\n"
+        expected = parse_mask_rows(mask, cols)
+        if isinstance(expected, str):
+            with pytest.raises(TerrainParseError) as info:
+                parse_height_grid(text)
+            assert str(info.value) == expected
+        else:
+            assert parse_height_grid(text).obstacle.tolist() == expected
 
     def test_mask_row_count(self):
         with pytest.raises(TerrainParseError, match="mask section"):
