@@ -189,10 +189,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     spec = WeightSpec.from_token(args.weight)
     tree = _spanning_tree(build_graph(mega), spec, args.method)
     path = circumnavigate(tree)
-    try:
-        slope = average_slope(mega)
-    except ValueError:  # single free mega cell: no adjacent pair, flat by definition
-        slope = 0.0
+    slope = average_slope(mega)
     weight = tree_weight(tree, spec)
     cost = path_cost(path, grid, spec)
     sacrificed = count_sacrificed_cells(grid)
@@ -270,6 +267,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     if not 0 < args.cell_px < math.inf:
         return _fail(EXIT_USAGE, f"--cell-px must be positive and finite, got {args.cell_px}")
     grid = load_height_grid(args.terrain)
+    if not math.isfinite(max(grid.rows, grid.cols) * args.cell_px):
+        return _fail(EXIT_USAGE, f"--cell-px {args.cell_px} overflows a {grid.rows}x{grid.cols} image")
     path = load_path_file(args.path)
     validate_path(path, grid)
     tree = None

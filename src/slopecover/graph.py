@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from slopecover.terrain import MegaGrid, slope_sum
+from slopecover.terrain import MegaGrid, adjacent_pairs, slope_sum
 from slopecover.weights import WeightSpec, edge_weights
 
 
@@ -55,8 +55,7 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     # slot k of cell (r, c) holds its up, right, down or left edge, or -1; the
     # row-major order of the right and down slots is the canonical edge order
     has_edge = np.zeros((mega.rows, mega.cols, 4), dtype=bool)
-    has_edge[:, :-1, 1] = free[:, :-1] & free[:, 1:]
-    has_edge[:-1, :, 2] = free[:-1, :] & free[1:, :]
+    has_edge[:, :-1, 1], has_edge[:-1, :, 2] = adjacent_pairs(free)
     incident = np.full(has_edge.shape, -1, dtype=np.int64)
     incident[has_edge] = np.arange(int(has_edge.sum()))
     incident[1:, :, 0] = incident[:-1, :, 2]  # up: the down edge of the cell above
@@ -75,10 +74,8 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
 def average_slope(mega: MegaGrid) -> float:
     """Mean over adjacent free pairs of |height difference| / horizontal distance.
 
-    Blocked pairs do not count. Raises ValueError when no adjacent free pair
-    exists (fewer than two free cells, or all free cells isolated).
+    Blocked pairs do not count. A grid with no adjacent free pair (a single
+    free cell, or only isolated ones) is flat by definition: 0.0.
     """
     total, count = slope_sum(mega.heights, mega.blocked)
-    if count == 0:
-        raise ValueError("average slope undefined: free mega cells form no adjacent pair")
-    return total / (mega.spacing * count)
+    return total / (mega.spacing * count) if count else 0.0

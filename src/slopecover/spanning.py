@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slopecover.graph import CoverageGraph, DisconnectedGridError
-from slopecover.terrain import component_count
+from slopecover.terrain import component_count, joining_edges
 from slopecover.weights import WeightSpec, total_weight
 
 
@@ -36,19 +36,7 @@ def minimum_spanning_tree(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:
     # the ends of each edge in sorted order; the weights are freed by now
     a, b = g.edges[order].T.tolist()
     n = len(g.nodes)
-    parent = list(range(n))
-    chosen: list[int] = []  # positions in order
-    for k, (ra, rb) in enumerate(zip(a, b)):
-        # find both roots, halving the paths on the way
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        while parent[rb] != rb:
-            parent[rb] = rb = parent[parent[rb]]
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(k)
-            if len(chosen) == n - 1:
-                break
+    chosen = joining_edges(n, a, b)  # positions in order
     if len(chosen) != n - 1:  # each chosen edge merged two regions
         raise DisconnectedGridError(n - len(chosen))
     return SpanningTree(graph=g, edges=np.sort(order[chosen]))

@@ -1,9 +1,9 @@
-"""Elevation grids: text format, seeded synthetic generation, 2x2 aggregation."""
+"""Elevation grids: text format, seeded synthetic generation, 2x2 aggregation,
+and the 4-adjacency and union-find shared by the generator, graph and spanning trees."""
 
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,11 +147,45 @@ def blocked_mega_cells(obstacle: np.ndarray) -> np.ndarray:
     return obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
 
 
+def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4-adjacent free pairs of a mask: (rows, cols - 1) True where a cell
+    and its right neighbour are free, (rows - 1, cols) where it and the cell below are."""
+    return free[:, :-1] & free[:, 1:], free[:-1, :] & free[1:, :]
+
+
+def joining_edges(n: int, a: list[int], b: list[int]) -> list[int]:
+    """Positions k, in scan order, of the edges (a[k], b[k]) that join two
+    regions of the n nodes: union-find with path halving, stopping after n - 1
+    joins. n minus their count is the number of regions."""
+    parent = list(range(n))
+    joins: list[int] = []
+    for k, (ra, rb) in enumerate(zip(a, b)):
+        # find both roots, halving the paths on the way
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra != rb:
+            parent[ra] = rb
+            joins.append(k)
+            if len(joins) == n - 1:
+                break
+    return joins
+
+
+def component_count(mask: np.ndarray) -> int:
+    """Number of 4-connected regions of True cells."""
+    right, down = adjacent_pairs(mask)
+    node = np.cumsum(mask).reshape(mask.shape) - 1  # index of each True cell, row-major
+    a = np.concatenate([node[:, :-1][right], node[:-1, :][down]]).tolist()
+    b = np.concatenate([node[:, 1:][right], node[1:, :][down]]).tolist()
+    n = int(mask.sum())
+    return n - len(joining_edges(n, a, b))
+
+
 def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:
     """Sum of |height difference| over 4-adjacent free pairs, and the pair count."""
-    free = ~blocked
-    horizontal = free[:, :-1] & free[:, 1:]
-    vertical = free[:-1, :] & free[1:, :]
+    horizontal, vertical = adjacent_pairs(~blocked)
     count = int(horizontal.sum()) + int(vertical.sum())
     total = float(np.abs(heights[:, 1:] - heights[:, :-1])[horizontal].sum())
     total += float(np.abs(heights[1:, :] - heights[:-1, :])[vertical].sum())
@@ -248,8 +282,7 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     for _ in range(_GENERATION_ATTEMPTS):
         obstacle = _place_obstacles(rng, spec.rows, spec.cols, spec.max_obstacles)
         blocked = blocked_mega_cells(obstacle)
-        free = ~blocked
-        if free.any() and component_count(free) == 1:
+        if component_count(~blocked) == 1:
             break
     else:
         raise TerrainGenerationError(
@@ -313,27 +346,6 @@ def _place_obstacles(
         col = int(rng.integers(0, cols - width + 1))
         obstacle[row : row + height, col : col + width] = True
     return obstacle
-
-
-def component_count(mask: np.ndarray) -> int:
-    """Number of 4-connected regions of True cells."""
-    rows, cols = mask.shape
-    cells = mask.tolist()
-    seen = [[False] * cols for _ in range(rows)]
-    count = 0
-    for r0, c0 in np.argwhere(mask).tolist():
-        if seen[r0][c0]:
-            continue
-        count += 1
-        seen[r0][c0] = True
-        queue: deque[tuple[int, int]] = deque([(r0, c0)])
-        while queue:
-            r, c = queue.popleft()
-            for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if 0 <= nr < rows and 0 <= nc < cols and cells[nr][nc] and not seen[nr][nc]:
-                    seen[nr][nc] = True
-                    queue.append((nr, nc))
-    return count
 
 
 def _calibrate_slope(field: np.ndarray, blocked: np.ndarray, spec: TerrainGenSpec) -> np.ndarray:

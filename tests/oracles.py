@@ -208,3 +208,18 @@ def parse_mask_rows(rows: list[str], cols: int) -> list[list[bool]] | str:
                 return f"mask row {i}: invalid character {ch!r}"
         flags.append([ch == "#" for ch in line])
     return flags
+
+
+def label_regions(n: int, pairs: list[tuple[int, int]]) -> int:
+    """Number of connected regions of n nodes joined by pairs: every node
+    takes the smallest label among its neighbours until no label changes."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in pairs:
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return len(set(label))

@@ -297,6 +297,17 @@ class TestBench:
         code, _, _ = run(["bench", "--config", str(tmp_path / "none.cfg")], capsys)
         assert code == 3
 
+    def test_single_mega_cell_terrain_is_flat(self, capsys):
+        # on 4x4 terrains 0 and 2 the obstacles leave one free mega cell: no
+        # adjacent pair, so no edge and an average slope of 0 by definition
+        code, out, err = run(["bench", "--terrains", "3", "--rows", "4", "--cols", "4",
+                              "--obstacles", "3", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+        single = [row for row in rows if row[5] == "0.000000"]  # mst_weight: no edge
+        assert sorted(row[0] for row in single) == ["0", "0", "2", "2"]
+        assert all(row[2] == "0.000000" for row in single)
+
     def test_custom_weights(self, capsys):
         code, out, _ = run(self.ARGS + ["--weights", "unit"], capsys)
         assert code == 0
@@ -343,7 +354,8 @@ class TestRender:
         assert len(polylines) == 1
         assert lines  # one per tree edge
 
-    @pytest.mark.parametrize("cell_px", ["0", "-2", "nan", "inf"])
+    # 1e308 is finite, but 8 cells of it overflow the image size
+    @pytest.mark.parametrize("cell_px", ["0", "-2", "nan", "inf", "1e308"])
     def test_invalid_cell_px_exit_2(self, tmp_path, capsys, cell_px):
         code, err, _, _, image = self.pipeline(tmp_path, capsys, extra=["--cell-px", cell_px])
         assert code == 2

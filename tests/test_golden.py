@@ -17,6 +17,12 @@ TERRAIN_ARGS = ["gen-terrain", "--rows", "24", "--cols", "24", "--seed", "5",
                 "--obstacles", "3", "--roughness", "0.4"]
 TERRAIN_SHA256 = "0b7b50ae28dbc32a40cf3ba086d153f8260b9e8961bcf9f89febbc8333ade43a"
 
+# seed 13 redraws its 30 obstacle patches 3 times before one free region is
+# left, so this digest pins the generator's region-count decision
+REDRAW_ARGS = ["gen-terrain", "--rows", "32", "--cols", "32", "--seed", "13",
+               "--obstacles", "30", "--roughness", "0.3"]
+REDRAW_SHA256 = "662f1edd5318480eb5b16544a2f708c5329743678590f810058b51a5f96589d6"
+
 MST_ROUTE = "ecd0bbf680591be049724d122791a0b452596d659cd3b57896336e10399133ab"
 MST_UNIT_ROUTE = "7a78c6377a39aca5c853425305ff6370ac39b6a70caa5bdb2eb044fed00a435c"
 CLASSICAL_ROUTE = "5570f0cc8ced7c8b108198d4274cc2cb40376afee00d86c3aa861e12b7881c12"
@@ -52,6 +58,12 @@ def terrain(tmp_path_factory):
 
 def test_terrain_digest(terrain):
     assert sha256(terrain.read_bytes()) == TERRAIN_SHA256
+
+
+def test_redrawn_terrain_digest(tmp_path):
+    path = tmp_path / "redrawn.txt"
+    assert main(REDRAW_ARGS + ["-o", str(path)]) == 0
+    assert sha256(path.read_bytes()) == REDRAW_SHA256
 
 
 @pytest.mark.parametrize("method, weight", sorted(PLANS))

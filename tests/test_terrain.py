@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_fill_regions, parse_mask_rows
+from oracles import flood_fill_regions, label_regions, parse_mask_rows
 from slopecover.graph import average_slope
 from slopecover.terrain import (
     HeightGrid,
@@ -16,8 +16,10 @@ from slopecover.terrain import (
     TerrainGenerationError,
     TerrainParseError,
     aggregate,
+    component_count,
     format_height_grid,
     generate_terrain,
+    joining_edges,
     parse_height_grid,
 )
 
@@ -234,6 +236,44 @@ class TestAggregate:
             for mc in range(half_cols):
                 block = heights[2 * mr : 2 * mr + 2, 2 * mc : 2 * mc + 2]
                 assert block.min() <= mega.heights[mr, mc] <= block.max()
+
+
+class TestRegionCount:
+    @settings(max_examples=300)
+    @given(
+        rows=st.integers(min_value=1, max_value=12),
+        cols=st.integers(min_value=1, max_value=12),
+        density=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_component_count_matches_flood_fill(self, rows, cols, density, seed):
+        mask = np.random.default_rng(seed).random((rows, cols)) < density
+        assert component_count(mask) == flood_fill_regions(mask)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 12), (12, 1), (12, 12), (5, 7)])
+    @pytest.mark.parametrize("free", [True, False])
+    def test_uniform_masks(self, shape, free):
+        mask = np.full(shape, free)
+        assert component_count(mask) == flood_fill_regions(mask) == int(free)
+
+    @pytest.mark.parametrize("line, regions", [("#.#..#.", 3), ("..##...#", 2)])
+    def test_single_row_and_column(self, line, regions):
+        mask = np.array([[ch == "." for ch in line]])
+        assert component_count(mask) == component_count(mask.T) == regions
+
+    @settings(max_examples=300)
+    @given(n=st.integers(min_value=0, max_value=12), data=st.data())
+    def test_joining_edges_against_label_oracle(self, n, data):
+        node = st.integers(min_value=0, max_value=max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
+        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+        joins = joining_edges(n, a, b)
+        assert joins == sorted(set(joins))  # strictly increasing scan positions
+        assert n - len(joins) == label_regions(n, pairs)
+        assert len(joins) <= max(n - 1, 0)
+        # exactly the edges that lower the region count of the pairs before them
+        assert joins == [k for k in range(len(pairs))
+                         if label_regions(n, pairs[: k + 1]) < label_regions(n, pairs[:k])]
 
 
 class TestGenerate:
