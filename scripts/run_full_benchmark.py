@@ -12,28 +12,29 @@ from slopecover.bench import BenchConfig, run_benchmark, trend_statistics, write
 
 
 def main() -> None:
+    paper = BenchConfig()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    parser.add_argument("--terrains", type=int, default=15)
-    parser.add_argument("--rows", type=int, default=250)
-    parser.add_argument("--cols", type=int, default=250)
-    parser.add_argument("--obstacles", type=int, default=30)
+    parser.add_argument("--terrains", type=int, default=paper.terrains)
+    parser.add_argument("--rows", type=int, default=paper.rows)
+    parser.add_argument("--cols", type=int, default=paper.cols)
+    parser.add_argument("--obstacles", type=int, default=paper.obstacles)
     parser.add_argument(
         "--out", default="results/full_benchmark.csv", help="CSV output path"
     )
     args = parser.parse_args()
 
-    cfg = BenchConfig.from_master_seed(
-        args.seed,
-        terrain_count=args.terrains,
+    cfg = BenchConfig(
+        seed=args.seed,
+        terrains=args.terrains,
         rows=args.rows,
         cols=args.cols,
-        max_obstacles=args.obstacles,
+        obstacles=args.obstacles,
     )
-    started = time.time()
+    started = time.perf_counter()
     records = run_benchmark(cfg)
     trends = trend_statistics(records)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -15,80 +15,45 @@ from slopecover.weights import WeightSpec
 
 CSV_HEADER = "terrain,seed,avg_slope,spec,classical_weight,mst_weight,gap,gap_ratio"
 
-_DEFAULT_SPECS = (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY)
-
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One benchmark run: per-terrain seeds and roughness, shared grid shape."""
+    """One `bench` run, a field per `bench` flag, defaulting to the paper's
+    experiment. `terrain_specs()` derives each terrain's seed from the
+    master `seed` and spaces the roughness evenly from `roughness_min` to
+    `roughness_max`; rows, cols, obstacles and spacing are shared."""
 
-    rows: int
-    cols: int
-    seeds: tuple[int, ...]
-    roughness_schedule: tuple[float, ...]
-    max_obstacles: int = 30
-    weight_specs: tuple[WeightSpec, ...] = _DEFAULT_SPECS
+    terrains: int = 15
+    rows: int = 250
+    cols: int = 250
+    obstacles: int = 30
+    seed: int = 0
+    weights: tuple[WeightSpec, ...] = (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY)
+    roughness_min: float = 0.05
+    roughness_max: float = 0.5
     spacing: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(
-            self, "roughness_schedule", tuple(float(r) for r in self.roughness_schedule)
-        )
-        object.__setattr__(self, "weight_specs", tuple(self.weight_specs))
-        if not self.seeds:
-            raise ValueError("benchmark needs at least one terrain")
-        if len(self.seeds) != len(self.roughness_schedule):
-            raise ValueError(
-                f"{len(self.seeds)} seeds but {len(self.roughness_schedule)} roughness values"
-            )
-        if not self.weight_specs:
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if self.terrains < 1:
+            raise ValueError(f"terrain count must be at least 1, got {self.terrains}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.weights:
             raise ValueError("benchmark needs at least one weight spec")
-        for i in range(len(self.seeds)):  # TerrainGenSpec checks each terrain's parameters
-            self.terrain_spec(i)
+        for k, spec in enumerate(self.weights):
+            if spec in self.weights[:k]:
+                raise ValueError(f"weight spec {spec.token} is repeated")
+        self.terrain_specs()  # TerrainGenSpec checks each terrain's parameters
 
-    def terrain_spec(self, i: int) -> TerrainGenSpec:
-        """Generator parameters of terrain i."""
-        return TerrainGenSpec(
-            rows=self.rows,
-            cols=self.cols,
-            seed=self.seeds[i],
-            max_obstacles=self.max_obstacles,
-            roughness=self.roughness_schedule[i],
-            spacing=self.spacing,
-        )
-
-    @property
-    def terrain_count(self) -> int:
-        return len(self.seeds)
-
-    @classmethod
-    def from_master_seed(
-        cls,
-        master_seed: int,
-        terrain_count: int = 15,
-        rows: int = 250,
-        cols: int = 250,
-        max_obstacles: int = 30,
-        roughness_min: float = 0.05,
-        roughness_max: float = 0.5,
-        weight_specs: Sequence[WeightSpec] = _DEFAULT_SPECS,
-        spacing: float = 1.0,
-    ) -> "BenchConfig":
-        """Derive one seed per terrain from a master seed plus an evenly
-        spaced roughness schedule."""
-        if terrain_count < 1:
-            raise ValueError(f"terrain count must be at least 1, got {terrain_count}")
-        seeds = np.random.SeedSequence(master_seed).generate_state(terrain_count, dtype=np.uint64)
-        schedule = np.linspace(roughness_min, roughness_max, terrain_count)
-        return cls(
-            rows=rows,
-            cols=cols,
-            seeds=tuple(int(s) for s in seeds),
-            roughness_schedule=tuple(float(r) for r in schedule),
-            max_obstacles=max_obstacles,
-            weight_specs=tuple(weight_specs),
-            spacing=spacing,
+    def terrain_specs(self) -> tuple[TerrainGenSpec, ...]:
+        """Generator parameters of every terrain, in order."""
+        seeds = np.random.SeedSequence(self.seed).generate_state(self.terrains, dtype=np.uint64)
+        roughness = np.linspace(self.roughness_min, self.roughness_max, self.terrains)
+        return tuple(
+            TerrainGenSpec(rows=self.rows, cols=self.cols, seed=int(seed), max_obstacles=self.obstacles,
+                           roughness=float(r), spacing=self.spacing)
+            for seed, r in zip(seeds, roughness)
         )
 
 
@@ -118,31 +83,32 @@ class SpecTrend:
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
-    """Generate every terrain, build its graph and baseline tree once, and
-    compare the baseline with the MST under every weight spec.
+    """Generate every terrain of `cfg.terrain_specs()`, build its graph and
+    baseline tree once, and compare the baseline with the MST under every
+    spec in `cfg.weights`.
 
-    Records come back sorted by (spec order, avg_slope, terrain index) and
-    are fully deterministic for a fixed config. Generation failures are
-    re-raised with the terrain index attached; the generator only returns
-    terrains whose free cells form one region.
+    Records come back sorted by (order in `cfg.weights`, avg_slope, terrain
+    index) and are fully deterministic for a fixed config. Generation
+    failures are re-raised with the terrain index attached; the generator
+    only returns terrains whose free cells form one region.
     """
     records: list[BenchRecord] = []
-    for i, seed in enumerate(cfg.seeds):
+    for i, terrain in enumerate(cfg.terrain_specs()):
         try:
-            grid = generate_terrain(cfg.terrain_spec(i))
+            grid = generate_terrain(terrain)
         except TerrainGenerationError as exc:
             raise TerrainGenerationError(f"terrain {i}: {exc}") from exc
         mega = aggregate(grid)
         slope = average_slope(mega)
         graph = build_graph(mega)
         baseline = classical_spanning_tree(graph)  # weight-blind: one tree serves every spec
-        for spec in cfg.weight_specs:
+        for spec in cfg.weights:
             mst_weight = tree_weight(minimum_spanning_tree(graph, spec), spec)
             classical_weight = tree_weight(baseline, spec)
             records.append(
                 BenchRecord(
                     terrain_index=i,
-                    seed=int(seed),
+                    seed=terrain.seed,
                     avg_slope=slope,
                     spec=spec,
                     classical_weight=classical_weight,
@@ -151,7 +117,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     gap_ratio=classical_weight / mst_weight if mst_weight > 0 else 1.0,
                 )
             )
-    spec_order = {spec: k for k, spec in enumerate(cfg.weight_specs)}
+    spec_order = {spec: k for k, spec in enumerate(cfg.weights)}
     records.sort(key=lambda r: (spec_order[r.spec], r.avg_slope, r.terrain_index))
     return records
 

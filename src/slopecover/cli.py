@@ -9,6 +9,7 @@ go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -50,16 +51,20 @@ EXIT_MISMATCH = 6
 
 _WEIGHT_TOKENS = tuple(spec.token for spec in WeightSpec)
 
-_BENCH_DEFAULTS = {
-    "terrains": 15,
-    "rows": 250,
-    "cols": 250,
-    "obstacles": 30,
-    "seed": 0,
-    "weights": "pythagoras,penalty",
-    "roughness_min": 0.05,
-    "roughness_max": 0.5,
-    "spacing": 1.0,
+_BENCH_FIELDS = {field.name: field for field in dataclasses.fields(bench_mod.BenchConfig)}
+
+# each `bench` flag sets the BenchConfig field its dest names; its help ends
+# with the field's default
+_BENCH_HELP = {
+    "terrains": "terrain count",
+    "rows": "fine-grid rows",
+    "cols": "fine-grid columns",
+    "obstacles": "obstacle patches per terrain",
+    "seed": "master seed",
+    "weights": "comma-separated weight specs",
+    "roughness_min": "schedule start",
+    "roughness_max": "schedule end",
+    "spacing": "fine-cell spacing",
 }
 
 
@@ -105,27 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(handler=cmd_plan)
 
     bench = sub.add_parser("bench", help="run the MST-vs-baseline benchmark, emit CSV")
-    bench.add_argument("--terrains", type=int, default=None, help="terrain count (default 15)")
-    bench.add_argument("--rows", type=int, default=None, help="fine-grid rows (default 250)")
-    bench.add_argument("--cols", type=int, default=None, help="fine-grid columns (default 250)")
-    bench.add_argument(
-        "--obstacles", type=int, default=None, help="obstacle patches per terrain (default 30)"
-    )
-    bench.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    bench.add_argument(
-        "--weights",
-        default=None,
-        help="comma-separated weight specs (default pythagoras,penalty)",
-    )
-    bench.add_argument(
-        "--roughness-min", type=float, default=None, help="schedule start (default 0.05)"
-    )
-    bench.add_argument(
-        "--roughness-max", type=float, default=None, help="schedule end (default 0.5)"
-    )
-    bench.add_argument(
-        "--spacing", type=float, default=None, help="fine-cell spacing (default 1.0)"
-    )
+    for key, field in _BENCH_FIELDS.items():
+        if key == "weights":
+            kind, default = None, ",".join(spec.token for spec in field.default)
+        else:
+            kind, default = type(field.default), field.default
+        bench.add_argument("--" + key.replace("_", "-"), type=kind, default=None,
+                           help=f"{_BENCH_HELP[key]} (default {default})")
     bench.add_argument(
         "--config",
         default=None,
@@ -213,38 +204,29 @@ def _read_bench_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _BENCH_DEFAULTS:
-            valid = ", ".join(sorted(_BENCH_DEFAULTS))
+        if key not in _BENCH_FIELDS:
+            valid = ", ".join(sorted(_BENCH_FIELDS))
             raise ValueError(f"{path}:{lineno}: unknown key {key!r} (expected one of: {valid})")
         values[key] = value.strip()
     return values
 
 
+def _bench_value(key: str, value: object) -> object:
+    """A config file or flag value as its BenchConfig field's type; weights by token."""
+    try:
+        if key == "weights":
+            tokens = (token.strip() for token in str(value).split(","))
+            return tuple(WeightSpec.from_token(token) for token in tokens if token)
+        return type(_BENCH_FIELDS[key].default)(value)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _bench_config_from_args(args: argparse.Namespace) -> bench_mod.BenchConfig:
-    merged: dict[str, object] = dict(_BENCH_DEFAULTS)
-    if args.config:
-        merged.update(_read_bench_config_file(args.config))
-    # every config key is also the dest of the flag that overrides it
-    flags = {key: getattr(args, key) for key in _BENCH_DEFAULTS}
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    specs = tuple(
-        WeightSpec.from_token(token.strip())
-        for token in str(merged["weights"]).split(",")
-        if token.strip()
-    )
-    return bench_mod.BenchConfig.from_master_seed(
-        master_seed=int(merged["seed"]),
-        terrain_count=int(merged["terrains"]),
-        rows=int(merged["rows"]),
-        cols=int(merged["cols"]),
-        max_obstacles=int(merged["obstacles"]),
-        roughness_min=float(merged["roughness_min"]),
-        roughness_max=float(merged["roughness_max"]),
-        weight_specs=specs,
-        spacing=float(merged["spacing"]),
-    )
+    values = _read_bench_config_file(args.config) if args.config else {}
+    flags = {key: getattr(args, key) for key in _BENCH_FIELDS if getattr(args, key) is not None}
+    merged = {**values, **flags}  # explicit flags override the file
+    return bench_mod.BenchConfig(**{key: _bench_value(key, value) for key, value in merged.items()})
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -255,7 +237,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"invalid benchmark config: {exc}")
     records = bench_mod.run_benchmark(cfg)
-    trends = bench_mod.trend_statistics(records) if cfg.terrain_count >= 3 else ()
+    trends = bench_mod.trend_statistics(records) if cfg.terrains >= 3 else ()
     if args.output:
         bench_mod.write_csv(records, trends, args.output)
     else:

@@ -31,6 +31,11 @@ def _check_spacing(spacing: float, limit: float) -> None:
         raise ValueError(f"spacing must be positive and finite, at most {limit!r}, got {spacing}")
 
 
+def _check_even(rows: int, cols: int) -> None:
+    if rows % 2 or cols % 2:
+        raise ValueError(f"grid dimensions must be even so 2x2 aggregation is exact, got {rows}x{cols}")
+
+
 def _freeze_grid(grid: HeightGrid | MegaGrid, mask: str, max_spacing: float) -> None:
     """Check and store the fields both grids share as plain ints, a float and
     read-only (rows, cols) arrays; mask names the boolean field."""
@@ -70,10 +75,7 @@ class HeightGrid:
 
     def __post_init__(self) -> None:
         _freeze_grid(self, "obstacle", _MAX_FINE_SPACING)
-        if self.rows % 2 or self.cols % 2:
-            raise ValueError(
-                f"grid dimensions must be even so 2x2 aggregation is exact, got {self.rows}x{self.cols}"
-            )
+        _check_even(self.rows, self.cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +111,7 @@ class TerrainGenSpec:
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
             raise ValueError(f"grid dimensions must be positive, got {self.rows}x{self.cols}")
-        if self.rows % 2 or self.cols % 2:
-            raise ValueError(
-                f"grid dimensions must be even so 2x2 aggregation is exact, got {self.rows}x{self.cols}"
-            )
+        _check_even(self.rows, self.cols)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_obstacles < 0:

@@ -84,7 +84,7 @@ def test_criterion_4_flat_equivalence():
 
 @pytest.mark.acceptance(5, "full-scale benchmark reproduces the qualitative trends")
 def test_criterion_5_full_scale_benchmark():
-    cfg = BenchConfig.from_master_seed(42)  # 15 terrains, 250x250, <=30 obstacles, slopes 0.05-0.5
+    cfg = BenchConfig(seed=42)  # 15 terrains, 250x250, <=30 obstacles, slopes 0.05-0.5
     records = run_benchmark(cfg)
     assert len(records) == 30
     # (a) the MST tree is never heavier than the baseline tree

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from slopecover import bench as bench_mod
@@ -13,49 +14,55 @@ from slopecover.bench import (
 )
 from slopecover.weights import WeightSpec
 
-SMALL = dict(terrain_count=4, rows=16, cols=16, max_obstacles=2)
+SMALL = dict(terrains=4, rows=16, cols=16, obstacles=2, seed=5)
 
 
-def small_config(master_seed=5, **overrides):
-    kwargs = dict(SMALL)
-    kwargs.update(overrides)
-    return BenchConfig.from_master_seed(master_seed, **kwargs)
+def small_config(**overrides):
+    return BenchConfig(**{**SMALL, **overrides})
 
 
 class TestConfig:
-    def test_from_master_seed_shapes(self):
-        cfg = BenchConfig.from_master_seed(42)
-        assert cfg.terrain_count == 15
-        assert len(cfg.seeds) == len(cfg.roughness_schedule) == 15
-        assert cfg.roughness_schedule[0] == pytest.approx(0.05)
-        assert cfg.roughness_schedule[-1] == pytest.approx(0.5)
-        assert cfg.weight_specs == (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY)
+    def test_defaults_are_the_paper_run(self):
+        assert BenchConfig() == BenchConfig(
+            terrains=15,
+            rows=250,
+            cols=250,
+            obstacles=30,
+            seed=0,
+            weights=(WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY),
+            roughness_min=0.05,
+            roughness_max=0.5,
+            spacing=1.0,
+        )
 
-    def test_from_master_seed_deterministic(self):
-        assert BenchConfig.from_master_seed(7).seeds == BenchConfig.from_master_seed(7).seeds
+    def test_terrain_specs_derive_from_the_seed(self):
+        specs = BenchConfig(seed=42).terrain_specs()
+        seeds = np.random.SeedSequence(42).generate_state(15, dtype=np.uint64)
+        assert [spec.seed for spec in specs] == [int(s) for s in seeds]
+        assert [spec.roughness for spec in specs] == np.linspace(0.05, 0.5, 15).tolist()
+        assert {(s.rows, s.cols, s.max_obstacles, s.spacing) for s in specs} == {(250, 250, 30, 1.0)}
 
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="seeds"):
-            BenchConfig(rows=16, cols=16, seeds=(1, 2), roughness_schedule=(0.1,))
+    def test_terrain_specs_deterministic(self):
+        assert BenchConfig(seed=7).terrain_specs() == BenchConfig(seed=7).terrain_specs()
 
     def test_zero_terrains_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
-            BenchConfig.from_master_seed(1, terrain_count=0)
+            BenchConfig(terrains=0)
 
     def test_odd_rows_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            BenchConfig(rows=15, cols=16, seeds=(1,), roughness_schedule=(0.1,))
+            small_config(rows=15)
 
     def test_every_terrain_spec_checked(self):
-        # terrain 0 is valid; a later terrain's roughness or seed is not
+        # terrain 0 is valid; a later terrain's roughness is not
         with pytest.raises(ValueError, match=r"roughness must lie in \[0, 1\], got 1.5"):
-            BenchConfig(rows=16, cols=16, seeds=(1, 2), roughness_schedule=(0.1, 1.5))
+            small_config(terrains=2, roughness_min=0.5, roughness_max=1.5)
         with pytest.raises(ValueError, match="seed must be non-negative, got -2"):
-            BenchConfig(rows=16, cols=16, seeds=(1, -2), roughness_schedule=(0.1, 0.2))
+            small_config(seed=-2)
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError, match="weight spec"):
-            BenchConfig(rows=16, cols=16, seeds=(1,), roughness_schedule=(0.1,), weight_specs=())
+            small_config(weights=())
 
 
 class TestRun:
@@ -67,15 +74,15 @@ class TestRun:
                 return _build(*args)
 
             monkeypatch.setattr(bench_mod, name, counting)
-        cfg = small_config(terrain_count=3, weight_specs=tuple(WeightSpec))
+        cfg = small_config(terrains=3, weights=tuple(WeightSpec))
         assert len(run_benchmark(cfg)) == 3 * len(WeightSpec)
         assert calls == {"build_graph": 3, "classical_spanning_tree": 3}
 
     def test_record_count_and_order(self):
         cfg = small_config()
         records = run_benchmark(cfg)
-        assert len(records) == cfg.terrain_count * len(cfg.weight_specs)
-        spec_order = {spec: i for i, spec in enumerate(cfg.weight_specs)}
+        assert len(records) == cfg.terrains * len(cfg.weights)
+        spec_order = {spec: i for i, spec in enumerate(cfg.weights)}
         keys = [(spec_order[r.spec], r.avg_slope, r.terrain_index) for r in records]
         assert keys == sorted(keys)
 
@@ -94,9 +101,7 @@ class TestRun:
         assert all(len(slopes) == 1 for slopes in by_terrain.values())
 
     def test_flat_schedule_gives_zero_gaps(self):
-        cfg = BenchConfig.from_master_seed(
-            3, terrain_count=3, rows=16, cols=16, max_obstacles=2, roughness_min=0.0, roughness_max=0.0
-        )
+        cfg = small_config(terrains=3, seed=3, roughness_min=0.0, roughness_max=0.0)
         for record in run_benchmark(cfg):
             assert record.gap == pytest.approx(0.0, abs=1e-9)
             assert record.avg_slope == 0.0
@@ -109,7 +114,7 @@ class TestRun:
     def test_seeds_recorded(self):
         cfg = small_config()
         seeds = {record.seed for record in run_benchmark(cfg)}
-        assert seeds == set(cfg.seeds)
+        assert seeds == {spec.seed for spec in cfg.terrain_specs()}
 
 
 class TestTrends:

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from slopecover.bench import BenchConfig, run_benchmark
-from slopecover.cli import main
+from slopecover.cli import build_parser, main
 from slopecover.terrain import load_height_grid
 
 FLAT_8X8 = "\n".join(["8 8 1.0"] + ["0 0 0 0 0 0 0 0"] * 8) + "\n"
@@ -222,7 +224,7 @@ def test_region_count_runs_only_in_the_generator(tmp_path, capsys, monkeypatch):
                             "-o", str(tmp_path / f"{method}.txt")], capsys)
         assert (code, err) == (0, ""), method
         assert (tmp_path / f"{method}.txt").exists()
-    cfg = BenchConfig.from_master_seed(5, terrain_count=2, rows=16, cols=16, max_obstacles=2)
+    cfg = BenchConfig(terrains=2, rows=16, cols=16, obstacles=2, seed=5)
     assert len(run_benchmark(cfg)) == 4
 
 
@@ -285,6 +287,47 @@ class TestBench:
         assert code_override == 0
         data = [l for l in out_override.strip().splitlines()[1:] if not l.startswith("#")]
         assert len(data) == 8
+
+    @pytest.mark.parametrize(
+        "config, flags, message",
+        [
+            ("rows = abc\n", [], "rows: invalid literal for int() with base 10: 'abc'"),
+            ("terrains = 1.5\n", [], "terrains: invalid literal for int() with base 10: '1.5'"),
+            ("spacing = x\n", [], "spacing: could not convert string to float: 'x'"),
+            ("weights = unit, foo\n", [],
+             "weights: unknown weight spec 'foo' (expected one of: unit, pythagoras, penalty)"),
+            ("", ["--seed", "-1"], "seed must be non-negative, got -1"),
+            ("seed = -1\n", [], "seed must be non-negative, got -1"),
+        ],
+        ids=["rows-abc", "terrains-1.5", "spacing-x", "weights-foo", "flag-seed-1", "file-seed-1"],
+    )
+    def test_bad_value_names_its_key_exit_2(self, tmp_path, capsys, config, flags, message):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(config)
+        code, out, err = run(["bench", "--config", str(cfg), *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid benchmark config: {message}\n"
+
+    def test_repeated_weight_spec_exit_2(self, tmp_path, capsys):
+        output = tmp_path / "b.csv"
+        code, out, err = run(self.ARGS + ["--weights", "penalty,unit,penalty", "-o", str(output)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid benchmark config: weight spec penalty is repeated\n"
+        assert not output.exists()
+
+    def test_flags_are_the_config_fields_with_their_defaults(self):
+        (bench,) = [action.choices["bench"] for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+        flags = {action.dest: action.help for action in bench._actions
+                 if action.dest not in ("help", "config", "output")}
+        fields = dataclasses.fields(BenchConfig)
+        assert list(flags) == [field.name for field in fields]
+        for field in fields:
+            default = field.default
+            if field.name == "weights":
+                default = ",".join(spec.token for spec in default)
+            assert flags[field.name].endswith(f"(default {default})"), field.name
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
