@@ -8,7 +8,7 @@ import argparse
 import time
 from pathlib import Path
 
-from slopecover.bench import BenchConfig, run_benchmark, trend_statistics, write_csv
+from slopecover.bench import BenchConfig, reported_trends, run_benchmark, write_csv
 
 
 def main() -> None:
@@ -33,7 +33,7 @@ def main() -> None:
     )
     started = time.perf_counter()
     records = run_benchmark(cfg)
-    trends = trend_statistics(records)
+    trends = reported_trends(records)
     elapsed = time.perf_counter() - started
 
     out = Path(args.out)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -14,6 +16,8 @@ from slopecover.terrain import TerrainGenerationError, TerrainGenSpec, aggregate
 from slopecover.weights import WeightSpec
 
 CSV_HEADER = "terrain,seed,avg_slope,spec,classical_weight,mst_weight,gap,gap_ratio"
+MIN_TREND_RECORDS = 3  # fewest records per spec a rank correlation is computed from
+_INT_FIELDS = ("terrains", "rows", "cols", "obstacles", "seed")
 
 
 @dataclass(frozen=True)
@@ -34,6 +38,11 @@ class BenchConfig:
     spacing: float = 1.0
 
     def __post_init__(self) -> None:
+        for key in _INT_FIELDS:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise TypeError(f"{key} must be an integer, got {value!r}")
+            object.__setattr__(self, key, int(value))
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.terrains < 1:
             raise ValueError(f"terrain count must be at least 1, got {self.terrains}")
@@ -125,8 +134,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 def trend_statistics(records: Iterable[BenchRecord]) -> tuple[SpecTrend, ...]:
     """Spearman rank correlation between avg_slope and gap per spec, plus means.
 
-    Requires at least 3 records per spec. A constant gap (or slope) yields
-    correlation 0 rather than an undefined value.
+    Requires MIN_TREND_RECORDS records per spec. A constant gap (or slope)
+    yields correlation 0 rather than an undefined value.
     """
     by_spec: dict[WeightSpec, list[BenchRecord]] = {}
     for record in records:
@@ -135,9 +144,9 @@ def trend_statistics(records: Iterable[BenchRecord]) -> tuple[SpecTrend, ...]:
         raise ValueError("no records")
     trends = []
     for spec, group in by_spec.items():
-        if len(group) < 3:
+        if len(group) < MIN_TREND_RECORDS:
             raise ValueError(
-                f"need at least 3 records per spec for a rank correlation, "
+                f"need at least {MIN_TREND_RECORDS} records per spec for a rank correlation, "
                 f"got {len(group)} for {spec.token}"
             )
         slopes = np.array([r.avg_slope for r in group])
@@ -153,6 +162,15 @@ def trend_statistics(records: Iterable[BenchRecord]) -> tuple[SpecTrend, ...]:
             )
         )
     return tuple(trends)
+
+
+def reported_trends(records: Sequence[BenchRecord]) -> tuple[SpecTrend, ...]:
+    """The trends a benchmark CSV reports: trend_statistics(records) when
+    every spec has MIN_TREND_RECORDS records, none otherwise."""
+    counts = Counter(record.spec for record in records)
+    if counts and min(counts.values()) >= MIN_TREND_RECORDS:
+        return trend_statistics(records)
+    return ()
 
 
 def _rankdata(values: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"invalid benchmark config: {exc}")
     records = bench_mod.run_benchmark(cfg)
-    trends = bench_mod.trend_statistics(records) if cfg.terrains >= 3 else ()
+    trends = bench_mod.reported_trends(records)
     if args.output:
         bench_mod.write_csv(records, trends, args.output)
     else:

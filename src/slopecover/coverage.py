@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +15,11 @@ from slopecover.weights import WeightSpec, edge_weights, total_weight
 # (row, col) offsets of the sub-cell corners of a mega cell, clockwise
 # starting top-left: NW, NE, SE, SW
 _CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+# 18 digits keep every canonical count and coordinate below 10**18 < 2**63,
+# so a file the bulk reader accepts cannot overflow int64
+_MAX_DIGITS = 18
+_CANONICAL_HEADER = re.compile(rf"PATH (\d{{1,{_MAX_DIGITS}}}) (closed|open)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +160,14 @@ def format_path(path: CoveragePath) -> str:
 
 
 def parse_path(text: str) -> CoveragePath:
-    """Parse the path text format; raises PathParseError on malformed text."""
+    """Parse the path text format; raises PathParseError on malformed text.
+
+    The canonical form that format_path writes for non-negative cells is read
+    in bulk; any other text goes through the line loop below, which gives
+    the same result and is the one source of every error message."""
+    canonical = _parse_canonical(text)
+    if canonical is not None:
+        return canonical
     lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -183,6 +196,27 @@ def parse_path(text: str) -> CoveragePath:
     except OverflowError as exc:
         raise PathParseError("cell coordinate out of the int64 range") from exc
     return CoveragePath(cells=cells, closed=header[2] == "closed")
+
+
+def _parse_canonical(text: str) -> CoveragePath | None:
+    """The path of `PATH L closed|open`, then exactly L `row col` lines of
+    1 to 18 ASCII digits each, every line ending in a newline; None for any
+    other text."""
+    header, _, body = text.partition("\n")
+    match = _CANONICAL_HEADER.fullmatch(header)
+    if match is None or not body.isascii() or body[-1:] not in ("", "\n"):
+        return None
+    length = int(match[1])
+    chars = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(chars - ord("0") > 9)  # uint8 wraps below "0"
+    if len(ends) != 2 * length:
+        return None
+    digits = np.diff(ends, prepend=-1) - 1
+    if ((chars[ends[0::2]] != ord(" ")).any() or (chars[ends[1::2]] != ord("\n")).any()
+            or ((digits < 1) | (digits > _MAX_DIGITS)).any()):
+        return None
+    cells = np.fromstring(body, dtype=np.int64, sep=" ").reshape(-1, 2)
+    return CoveragePath(cells=cells, closed=match[2] == "closed")
 
 
 def load_path_file(path: str | Path) -> CoveragePath:

@@ -11,7 +11,7 @@ from collections import Counter, deque
 
 import numpy as np
 
-from slopecover.coverage import CoveragePath
+from slopecover.coverage import CoveragePath, PathParseError
 from slopecover.graph import CoverageGraph
 from slopecover.spanning import SpanningTree
 from slopecover.terrain import HeightGrid, MegaGrid
@@ -193,6 +193,85 @@ def scalar_path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> 
     for a, b in zip(cells, successors):
         total += edge_weight(spec, float(grid.heights[a]), float(grid.heights[b]), grid.spacing)
     return total
+
+
+def parse_path_lines(text: str) -> CoveragePath:
+    """The route reader one line at a time, as it stood before the bulk
+    reader: the reference for every result and every error message."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise PathParseError("empty path file")
+    header = lines[0].split()
+    if len(header) != 3 or header[0] != "PATH" or header[2] not in ("closed", "open"):
+        raise PathParseError(f"header must be 'PATH L closed|open', got {lines[0]!r}")
+    try:
+        length = int(header[1])
+    except ValueError as exc:
+        raise PathParseError(f"malformed header {lines[0]!r}") from exc
+    if len(lines) - 1 != length:
+        raise PathParseError(f"expected {length} cells, found {len(lines) - 1}")
+    values: list[int] = []
+    for i, line in enumerate(lines[1:]):
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise PathParseError(f"cell line {i}: expected 'row col', got {line!r}")
+        try:
+            values += map(int, tokens)
+        except ValueError as exc:
+            raise PathParseError(f"cell line {i}: non-integer coordinate") from exc
+    try:
+        cells = np.array(values, dtype=np.int64).reshape(-1, 2)
+    except OverflowError as exc:
+        raise PathParseError("cell coordinate out of the int64 range") from exc
+    return CoveragePath(cells=cells, closed=header[2] == "closed")
+
+
+def render_svg_per_cell(
+    grid: HeightGrid, path: CoveragePath, tree: SpanningTree | None = None, cell_px: float = 10.0
+) -> str:
+    """The SVG renderer one f-string per cell and per route point, as it stood
+    before the array renderer: the reference for every output byte."""
+    s = float(cell_px)
+    width = grid.cols * s
+    height = grid.rows * s
+    h_min = float(grid.heights.min())
+    h_span = float(grid.heights.max()) - h_min
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}" '
+        f'viewBox="0 0 {width:g} {height:g}">',
+    ]
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            if grid.obstacle[r, c]:
+                fill = "#d62728"
+            else:
+                t = 0.5 if h_span == 0 else (float(grid.heights[r, c]) - h_min) / h_span
+                gray = int(round(48 + t * (224 - 48)))
+                fill = f"#{gray:02x}{gray:02x}{gray:02x}"
+            lines.append(
+                f'<rect x="{c * s:g}" y="{r * s:g}" width="{s:g}" height="{s:g}" fill="{fill}"/>'
+            )
+    if tree is not None:
+        g = tree.graph
+        for (ra, ca), (rb, cb) in g.nodes[g.edges[tree.edges]].tolist():
+            lines.append(
+                f'<line x1="{(2 * ca + 1) * s:g}" y1="{(2 * ra + 1) * s:g}" '
+                f'x2="{(2 * cb + 1) * s:g}" y2="{(2 * rb + 1) * s:g}" '
+                f'stroke="#ff7f0e" stroke-width="{0.3 * s:g}"/>'
+            )
+    rows, cols = path.cells.T.tolist()
+    if path.closed and rows:
+        rows, cols = rows + rows[:1], cols + cols[:1]
+    point_text = " ".join(f"{(c + 0.5) * s:g},{(r + 0.5) * s:g}" for r, c in zip(rows, cols))
+    lines.append(
+        f'<polyline points="{point_text}" fill="none" stroke="#1f77b4" '
+        f'stroke-width="{0.25 * s:g}" stroke-linejoin="round"/>'
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def parse_mask_rows(rows: list[str], cols: int) -> list[list[bool]] | str:

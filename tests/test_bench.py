@@ -9,6 +9,7 @@ from slopecover.bench import (
     BenchConfig,
     BenchRecord,
     format_csv,
+    reported_trends,
     run_benchmark,
     trend_statistics,
 )
@@ -63,6 +64,18 @@ class TestConfig:
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError, match="weight spec"):
             small_config(weights=())
+
+
+    @pytest.mark.parametrize("key", ["terrains", "rows", "cols", "obstacles", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, False, "4", None])
+    def test_integer_keys_reject_other_types(self, key, value):
+        with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
+            small_config(**{key: value})
+
+    def test_integer_keys_accept_numpy_integers(self):
+        cfg = small_config(terrains=np.int64(4), seed=np.uint32(5))
+        assert cfg == small_config()
+        assert type(cfg.terrains) is int and type(cfg.seed) is int
 
 
 class TestRun:
@@ -158,6 +171,15 @@ class TestTrends:
             trend_statistics(self.make_records([1.0, 2.0]))
         with pytest.raises(ValueError, match="no records"):
             trend_statistics([])
+
+
+    def test_reported_trends_need_three_records_per_spec(self):
+        assert reported_trends([]) == ()
+        assert reported_trends(self.make_records([1.0, 2.0])) == ()
+        records = self.make_records([1.0, 2.0, 4.0])
+        assert reported_trends(records) == trend_statistics(records)
+        short = records + self.make_records([1.0, 2.0], spec=WeightSpec.SLOPE_PENALTY)
+        assert reported_trends(short) == ()
 
 
 class TestCsv:

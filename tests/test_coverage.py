@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coverage_violations, scalar_path_cost, tree_crossing_violations
+from oracles import coverage_violations, parse_path_lines, scalar_path_cost, tree_crossing_violations
+from slopecover import coverage
 from slopecover.coverage import (
     CoveragePath,
     PathMismatchError,
@@ -286,6 +287,83 @@ class TestPathFiles:
         except PathParseError:
             return
         assert path.cells.ndim == 2 and path.cells.shape[1] == 2
+
+
+def parse_outcome(parse, text):
+    try:
+        path = parse(text)
+    except PathParseError as exc:
+        return "error", str(exc)
+    return "path", path.cells.dtype, path.cells.tolist(), path.closed
+
+
+def mutate_line(line: str, kind: str, k: int) -> str:
+    """One `row col` line with a non-canonical variant of kind applied."""
+    row, col = line.split()
+    return {
+        "crlf": f"{row} {col}\r",
+        "spaces": f" {row}  {col} ",
+        "tab": f"{row}\t{col}",
+        "plus": f"+{row} {col}",
+        "minus": f"{row} -{col}",
+        "leading-zeros": f"{row:0>18} {col:0>19}",
+        "19-digits": f"{row} {10**18 + k}",
+        "2**63": f"{2**63} {col}",
+        "digit-3": f"{row} \u0663",
+    }[kind]
+
+
+LINE_MUTATIONS = ("crlf", "spaces", "tab", "plus", "minus", "leading-zeros", "19-digits", "2**63",
+                  "digit-3")
+TEXT_MUTATIONS = ("none", "all-crlf", "blank-lines", "no-final-newline", "missing-last-line",
+                  "joined-lines", "header-spaces", "header-zeros", "header-plus")
+
+
+class TestBulkPathReader:
+    """parse_path against the line-by-line oracle: the same cells and
+    `closed`, or the same PathParseError message."""
+
+    @settings(max_examples=400)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 10**18 - 1), st.integers(-3, 40)), max_size=12),
+        closed=st.booleans(),
+        text_mutation=st.sampled_from(TEXT_MUTATIONS),
+        line_mutations=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(LINE_MUTATIONS)),
+                                max_size=2),
+    )
+    def test_matches_line_oracle(self, cells, closed, text_mutation, line_mutations):
+        text = format_path(CoveragePath(cells=cells, closed=closed))
+        if text_mutation == "none" and not line_mutations and all(c >= 0 for _, c in cells):
+            assert coverage._parse_canonical(text) is not None  # the bulk path reads it
+        header, *body = text.splitlines()
+        for i, kind in line_mutations:
+            if i < len(body):
+                body[i] = mutate_line(body[i], kind, i)
+        word = header.split()[2]
+        text = {
+            "none": lambda: "\n".join([header, *body]) + "\n",
+            "all-crlf": lambda: "\r\n".join([header, *body]) + "\r\n",
+            "blank-lines": lambda: "\n".join([header, *body]) + "\n\n \t\n",
+            "no-final-newline": lambda: "\n".join([header, *body]),
+            "missing-last-line": lambda: "\n".join([header, *body[:-1]]) + "\n",
+            "joined-lines": lambda: "\n".join([header, " ".join(body[:2]), *body[2:]]) + "\n",
+            "header-spaces": lambda: "\n".join([f" PATH  {len(body)} {word} ", *body]) + "\n",
+            "header-zeros": lambda: "\n".join([f"PATH 0{len(body)} {word}", *body]) + "\n",
+            "header-plus": lambda: "\n".join([f"PATH +{len(body)} {word}", *body]) + "\n",
+        }[text_mutation]()
+        assert parse_outcome(parse_path, text) == parse_outcome(parse_path_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "PATH 0 closed\n", "PATH 0 open", "PATH 0 closed\n5", "PATH 1 open\n5\n",
+        "PATH 1 open\n1 2 3\n", "PATH 1 open\n 1 2\n", "PATH 1 open\n1  2\n", "PATH 1 open\n1 2\n\n",
+        "PATH 2 open\n1 2\n", "PATH 1 open\n1 2\n3 4\n", "PATH 2 open\n1 2 3 4\n", "PATH 1 open\n1 2\x0c",
+        "PATH 1 open\n1 2\x0b3 4\n", "PATH 1 open\n1 2\x85", "PATH 1 closed\n1 2\u2028",
+        f"PATH 1 open\n{10**18 - 1} {10**18}\n", f"PATH {10**18} open\n1 2\n",
+        "PATH 1 open\n 7\n", "PATH 1 open\n7 \n", "PATH 2 open\n1 2\n \n", "PATH 1 open\n\n 2\n",
+        "PATH 1 shut\n1 2\n", "PATH 1 open\r\n1 2\n", "PATH 1 open\n1_0 2\n", "PATH 1_0 open\n",
+    ])
+    def test_edge_texts_match_line_oracle(self, text):
+        assert parse_outcome(parse_path, text) == parse_outcome(parse_path_lines, text)
 
 
 class TestValidatePath:

@@ -39,6 +39,21 @@ PLANS = {
     ("classical", "penalty"): (CLASSICAL_ROUTE, "446.180697", "1122.619631"),
 }
 
+# SVG digests of `render` over the golden terrain's MST route, recorded from
+# the per-cell f-string renderer that preceded the array one; 123456 px makes
+# `:g` print exponents and 0.37 px gives inexact coordinates
+SVG_RENDERS = {
+    "default": ([], "092106fcdf184ed1ec1635f7a78c1f6b3dec2f5a1fdc4d35e6088adbd1c18770"),
+    "show-tree": (["--show-tree"], "96cea5ae5e35d14583e81bccddf9fa3f7033403caf72ec81d76f7c834949deeb"),
+    "cell-px-exponent": (["--show-tree", "--cell-px", "123456"], "1d56345938d0bbc62511ce9cff6875e979f42df5e2d2a62b70b93100aa41dd22"),
+    "cell-px-fraction": (["--cell-px", "0.37"], "f1999c7202da979c602b74ff7da7fac0ff3572f34a1b57cc801b1d4a3824d103"),
+}
+
+# a flat terrain (every height 0, so the height span is 0) with obstacles
+FLAT_ARGS = ["gen-terrain", "--rows", "12", "--cols", "12", "--seed", "3",
+             "--obstacles", "2", "--roughness", "0"]
+FLAT_SVG_SHA256 = "e3470deaf4a51b679371e30c2627c9839a31c0cdf6a1c0704f671a2da75e508a"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -81,3 +96,28 @@ def test_plan_route_and_stdout(terrain, tmp_path, capsys, method, weight):
         "sacrificed_cells=21\n"
     )
     assert sha256(route.read_bytes()) == route_sha
+
+
+@pytest.fixture(scope="module")
+def mst_route(terrain, tmp_path_factory):
+    route = tmp_path_factory.mktemp("golden") / "route.txt"
+    assert main(["plan", "--terrain", str(terrain), "-o", str(route)]) == 0
+    return route
+
+
+@pytest.mark.parametrize("name", sorted(SVG_RENDERS))
+def test_render_svg_digest(terrain, mst_route, tmp_path, capsys, name):
+    flags, digest = SVG_RENDERS[name]
+    figure = tmp_path / "figure.svg"
+    assert main(["render", "--terrain", str(terrain), "--path", str(mst_route), *flags,
+                 "-o", str(figure)]) == 0
+    assert sha256(figure.read_bytes()) == digest
+
+
+def test_flat_terrain_svg_digest(tmp_path, capsys):
+    flat, route, figure = tmp_path / "flat.txt", tmp_path / "route.txt", tmp_path / "flat.svg"
+    assert main(FLAT_ARGS + ["-o", str(flat)]) == 0
+    assert main(["plan", "--terrain", str(flat), "-o", str(route)]) == 0
+    assert main(["render", "--terrain", str(flat), "--path", str(route), "--show-tree",
+                 "-o", str(figure)]) == 0
+    assert sha256(figure.read_bytes()) == FLAT_SVG_SHA256

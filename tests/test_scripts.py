@@ -42,3 +42,15 @@ def test_run_full_benchmark_matches_cli_bench(tmp_path, monkeypatch, capsys):
     cli_out = tmp_path / "cli.csv"
     assert main(["bench", "--seed", "42", "--obstacles", "30", *size, "-o", str(cli_out)]) == 0
     assert out.read_bytes() == cli_out.read_bytes()
+
+
+def test_run_full_benchmark_below_three_terrains_omits_correlations(tmp_path, monkeypatch, capsys):
+    size = ["--terrains", "2", "--rows", "16", "--cols", "16", "--obstacles", "2"]
+    out = tmp_path / "bench.csv"
+    run_script("run_full_benchmark.py", [*size, "--out", str(out)], monkeypatch)
+    printed = capsys.readouterr().out
+    assert "wrote 4 records" in printed and "spearman" not in printed
+    cli_out = tmp_path / "cli.csv"
+    assert main(["bench", "--seed", "42", *size, "-o", str(cli_out)]) == 0
+    assert out.read_bytes() == cli_out.read_bytes()
+    assert "# correlation" not in out.read_text()
