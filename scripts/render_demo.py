@@ -49,7 +49,7 @@ def main() -> None:
         route = circumnavigate(tree)
         save_path(route, out_dir / f"route_{name}.txt")
         (out_dir / f"route_{name}.svg").write_text(
-            render_svg(grid, route, tree=tree), encoding="utf-8"
+            render_svg(grid, route, show_tree=True), encoding="utf-8"
         )
         print(
             f"{name:9s} tree weight {tree_weight(tree, spec):10.3f}  "

@@ -25,13 +25,8 @@ from slopecover.coverage import (
     save_path,
     validate_path,
 )
-from slopecover.graph import CoverageGraph, DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import (
-    SpanningTree,
-    classical_spanning_tree,
-    minimum_spanning_tree,
-    tree_weight,
-)
+from slopecover.graph import DisconnectedGridError, average_slope, build_graph
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import (
     TerrainGenerationError,
     TerrainGenSpec,
@@ -48,8 +43,6 @@ EXIT_IO = 3
 EXIT_GENERATION = 4
 EXIT_DISCONNECTED = 5
 EXIT_MISMATCH = 6
-
-_WEIGHT_TOKENS = tuple(spec.token for spec in WeightSpec)
 
 _BENCH_FIELDS = {field.name: field for field in dataclasses.fields(bench_mod.BenchConfig)}
 
@@ -105,7 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="plan a coverage route over a terrain file")
     plan.add_argument("--terrain", required=True, help="terrain file to read")
-    _add_tree_flags(plan, "edge-weight function", "spanning tree to circumnavigate")
+    plan.add_argument("--weight", choices=[spec.token for spec in WeightSpec],
+                      default="pythagoras", help="edge-weight function (default pythagoras)")
+    plan.add_argument("--method", choices=("mst", "classical"), default="mst",
+                      help="spanning tree to circumnavigate (default mst)")
     plan.add_argument("-o", "--output", required=True, help="path file to write")
     plan.set_defaults(handler=cmd_plan)
 
@@ -129,9 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--terrain", required=True, help="terrain file to read")
     render.add_argument("--path", required=True, help="path file to read")
     render.add_argument(
-        "--show-tree", action="store_true", help="overlay the spanning tree edges"
+        "--show-tree",
+        action="store_true",
+        help="overlay the mega-cell pairs the route crosses: a planned route's spanning tree",
     )
-    _add_tree_flags(render, "weight spec for --show-tree", "tree for --show-tree")
     render.add_argument(
         "--cell-px", type=float, default=10.0, help="pixels per fine cell (default 10)"
     )
@@ -139,14 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
     render.set_defaults(handler=cmd_render)
 
     return parser
-
-
-def _add_tree_flags(parser: argparse.ArgumentParser, weight_help: str, method_help: str) -> None:
-    """--weight and --method, shared by plan and render."""
-    parser.add_argument("--weight", choices=_WEIGHT_TOKENS, default="pythagoras",
-                        help=f"{weight_help} (default pythagoras)")
-    parser.add_argument("--method", choices=("mst", "classical"), default="mst",
-                        help=f"{method_help} (default mst)")
 
 
 def cmd_gen_terrain(args: argparse.Namespace) -> int:
@@ -166,19 +155,13 @@ def cmd_gen_terrain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _spanning_tree(graph: CoverageGraph, spec: WeightSpec, method: str) -> SpanningTree:
-    """The tree --method names. The builders are looked up as module globals
-    at call time, so wrappers installed on this module see the call."""
-    if method == "mst":
-        return minimum_spanning_tree(graph, spec)
-    return classical_spanning_tree(graph)
-
-
 def cmd_plan(args: argparse.Namespace) -> int:
     grid = load_height_grid(args.terrain)
     mega = aggregate(grid)
     spec = WeightSpec.from_token(args.weight)
-    tree = _spanning_tree(build_graph(mega), spec, args.method)
+    graph = build_graph(mega)
+    # each builder is a module global looked up at call time, so wrappers on this module see it
+    tree = minimum_spanning_tree(graph, spec) if args.method == "mst" else classical_spanning_tree(graph)
     path = circumnavigate(tree)
     slope = average_slope(mega)
     weight = tree_weight(tree, spec)
@@ -253,11 +236,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         return _fail(EXIT_USAGE, f"--cell-px {args.cell_px} overflows a {grid.rows}x{grid.cols} image")
     path = load_path_file(args.path)
     validate_path(path, grid)
-    tree = None
-    if args.show_tree:
-        spec = WeightSpec.from_token(args.weight)
-        tree = _spanning_tree(build_graph(aggregate(grid)), spec, args.method)
-    text = svg_mod.render_svg(grid, path, tree=tree, cell_px=args.cell_px)
+    text = svg_mod.render_svg(grid, path, show_tree=args.show_tree, cell_px=args.cell_px)
     Path(args.output).write_text(text, encoding="utf-8", newline="\n")
     return EXIT_OK
 

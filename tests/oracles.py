@@ -228,6 +228,19 @@ def parse_path_lines(text: str) -> CoveragePath:
     return CoveragePath(cells=cells, closed=header[2] == "closed")
 
 
+def route_crossings(cells, closed: bool) -> set[tuple[tuple[int, int], tuple[int, int]]]:
+    """The 4-adjacent mega-cell pairs a route steps across, upper or left end
+    first, found one step at a time on Python ints."""
+    cells = [(r, c) for r, c in np.asarray(cells, dtype=np.int64).reshape(-1, 2).tolist()]
+    nexts = cells[1:] + cells[:1] if closed else cells[1:]
+    crossings = set()
+    for (ra, ca), (rb, cb) in zip(cells, nexts):
+        a, b = (ra // 2, ca // 2), (rb // 2, cb // 2)
+        if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1:
+            crossings.add((min(a, b), max(a, b)))
+    return crossings
+
+
 def render_svg_per_cell(
     grid: HeightGrid, path: CoveragePath, tree: SpanningTree | None = None, cell_px: float = 10.0
 ) -> str:

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import slopecover.bench
+import slopecover.cli
 from slopecover.bench import BenchConfig, run_benchmark
 from slopecover.cli import build_parser, main
-from slopecover.terrain import load_height_grid
+from slopecover.graph import build_graph
+from slopecover.spanning import classical_spanning_tree
+from slopecover.terrain import aggregate, load_height_grid
+from test_golden import TERRAIN_ARGS
 
 FLAT_8X8 = "\n".join(["8 8 1.0"] + ["0 0 0 0 0 0 0 0"] * 8) + "\n"
 
@@ -426,3 +433,82 @@ class TestRender:
             capsys,
         )
         assert code == 3
+
+    def test_show_tree_draws_the_classical_route_tree(self, tmp_path, capsys):
+        """The overlay is the tree the route was planned from, whatever tree
+        an MST of the terrain would be."""
+        terrain, route, image = tmp_path / "t.txt", tmp_path / "r.txt", tmp_path / "out.svg"
+        assert run(TERRAIN_ARGS + ["-o", str(terrain)], capsys)[0] == 0
+        assert run(["plan", "--terrain", str(terrain), "--method", "classical",
+                    "-o", str(route)], capsys)[0] == 0
+        assert run(["render", "--terrain", str(terrain), "--path", str(route), "--show-tree",
+                    "-o", str(image)], capsys) == (0, "", "")
+        graph = build_graph(aggregate(load_height_grid(terrain)))
+        tree = classical_spanning_tree(graph)
+        expected = graph.nodes[graph.edges[tree.edges]].tolist()  # [[ra, ca], [rb, cb]] per edge
+        # at 10 px per fine cell the centre of mega row or column v is at 20 v + 10
+        drawn = [
+            [[(int(el.attrib[y]) - 10) // 20, (int(el.attrib[x]) - 10) // 20]
+             for x, y in (("x1", "y1"), ("x2", "y2"))]
+            for el in ET.fromstring(image.read_text()).iter() if el.tag.endswith("}line")
+        ]
+        assert drawn == expected
+        assert len(drawn) == len(graph.nodes) - 1
+
+    @pytest.mark.parametrize("flag", [["--weight", "penalty"], ["--method", "mst"]])
+    def test_tree_flags_are_plan_only_exit_2(self, tmp_path, capsys, flag):
+        terrain = tmp_path / "flat.txt"
+        terrain.write_text(FLAT_8X8)
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--terrain", str(terrain), "--path", str(tmp_path / "r.txt"), *flag,
+                  "-o", str(tmp_path / "x.svg")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_height_span_overflow_exit_3(self, tmp_path, capsys):
+        terrain, route = tmp_path / "t.txt", tmp_path / "r.txt"
+        terrain.write_text("2 2 1.0\n1e308 -1e308\n0 5\n")
+        route.write_text("PATH 4 closed\n0 0\n0 1\n1 1\n1 0\n")
+        image = tmp_path / "x.svg"
+        code, out, err = run(["render", "--terrain", str(terrain), "--path", str(route),
+                              "-o", str(image)], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: cannot shade the terrain: height span inf between min height "
+                       "-1e+308 and max height 1e+308 is not finite\n")
+        assert not image.exists()
+
+
+def load_tracing(monkeypatch):
+    """perfbench's tracer, loaded from its file; nothing is written there."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look themselves up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_per_layer_trace_sees_every_stage(tmp_path, capsys, monkeypatch):
+    """Every traced function is found where the CLI looks it up, plan's tree
+    builder is called through the cli module, and render builds no graph or tree."""
+    cli = slopecover.cli
+    tracer = load_tracing(monkeypatch).Tracer([cli, cli.bench_mod, cli.svg_mod, slopecover.bench])
+    assert tracer.absent == []
+    terrain, route = tmp_path / "t.txt", tmp_path / "r.txt"
+    assert run(["gen-terrain", "--rows", "16", "--cols", "16", "--seed", "3",
+                "--obstacles", "2", "--roughness", "0.3", "-o", str(terrain)], capsys)[0] == 0
+    with tracer.command(0):
+        assert run(["plan", "--terrain", str(terrain), "--method", "mst",
+                    "-o", str(route)], capsys)[0] == 0
+    with tracer.command(1):
+        assert run(["render", "--terrain", str(terrain), "--path", str(route), "--show-tree",
+                    "-o", str(tmp_path / "out.svg")], capsys)[0] == 0
+    plan, render = tracer.metrics(0), tracer.metrics(1)
+    assert plan["spanning.minimum_spanning_tree.calls"] == 1
+    assert plan["spanning.classical_spanning_tree.calls"] == 0
+    assert plan["graph.build_graph.calls"] == 1
+    assert render["svg.render_svg.calls"] == 1
+    for stage in ("terrain.aggregate", "graph.build_graph", "spanning.minimum_spanning_tree",
+                  "spanning.classical_spanning_tree"):
+        assert render[f"{stage}.calls"] == 0, stage

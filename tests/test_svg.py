@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import render_svg_per_cell
-from slopecover.coverage import CoveragePath
+from oracles import render_svg_per_cell, route_crossings
+from slopecover.coverage import CoveragePath, circumnavigate
 from slopecover.graph import build_graph
-from slopecover.spanning import minimum_spanning_tree
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree
 from slopecover.svg import render_svg
-from slopecover.terrain import HeightGrid, TerrainGenSpec, aggregate, generate_terrain
+from slopecover.terrain import (
+    HeightGrid,
+    TerrainGenerationError,
+    TerrainGenSpec,
+    aggregate,
+    generate_terrain,
+)
 from slopecover.weights import WeightSpec
 
 CELL_PX = (10.0, 1.0, 0.37, 3.3e5, 123456.0, 1e-7)
@@ -57,9 +65,10 @@ def test_half_way_grey_levels_round_to_even():
 def test_span_overflow_raises_like_the_per_cell_renderer():
     grid = grid_of([[1e308, -1e308], [0.0, 5.0]])
     path = CoveragePath(cells=[(0, 0)])
-    with pytest.raises(ValueError) as expected:
+    with pytest.raises(ValueError):
         render_svg_per_cell(grid, path)
-    with pytest.raises(ValueError, match=str(expected.value)):
+    message = "height span inf between min height -1e+308 and max height 1e+308 is not finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
         render_svg(grid, path)
     masked = grid_of([[1e308, -1e308], [0.0, 5.0]], np.array([[True, False], [False, False]]))
     assert render_svg(masked, path) == render_svg_per_cell(masked, path)
@@ -89,6 +98,110 @@ def test_matches_per_cell_renderer(shape, levels, scale, seed, cell_px, closed):
 def test_tree_overlay_matches_per_cell_renderer():
     grid = generate_terrain(TerrainGenSpec(rows=20, cols=16, seed=9, max_obstacles=3, roughness=0.3))
     tree = minimum_spanning_tree(build_graph(aggregate(grid)), WeightSpec.SLOPE_PENALTY)
-    path = CoveragePath(cells=[(0, 0), (0, 1), (25, -2)])
+    path = circumnavigate(tree)
     for cell_px in CELL_PX:
-        assert render_svg(grid, path, tree, cell_px) == render_svg_per_cell(grid, path, tree, cell_px)
+        assert (render_svg(grid, path, show_tree=True, cell_px=cell_px)
+                == render_svg_per_cell(grid, path, tree, cell_px))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 13), st.integers(1, 13)).map(lambda rc: (2 * rc[0], 2 * rc[1])),
+    seed=st.integers(0, 2**32 - 1),
+    obstacles=st.integers(0, 4),
+    roughness=st.sampled_from([0.0, 0.2, 0.5]),
+    method=st.sampled_from(["mst", "classical"]),
+    spec=st.sampled_from(list(WeightSpec)),
+    cell_px=st.sampled_from(CELL_PX),
+)
+def test_planned_route_overlay_is_its_tree(shape, seed, obstacles, roughness, method, spec, cell_px):
+    """A circumnavigation crosses exactly its tree's edges, so the overlay
+    drawn from the route alone is the tree the route was planned from."""
+    try:
+        grid = generate_terrain(TerrainGenSpec(rows=shape[0], cols=shape[1], seed=seed,
+                                               max_obstacles=obstacles, roughness=roughness))
+    except TerrainGenerationError:
+        assume(False)
+    graph = build_graph(aggregate(grid))
+    tree = minimum_spanning_tree(graph, spec) if method == "mst" else classical_spanning_tree(graph)
+    path = circumnavigate(tree)
+    assert (render_svg(grid, path, show_tree=True, cell_px=cell_px)
+            == render_svg_per_cell(grid, path, tree, cell_px))
+
+
+def tree_lines(svg: str) -> list[str]:
+    return [line for line in svg.splitlines() if line.startswith("<line ")]
+
+
+def drawn_pairs(svg: str) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The mega-cell pairs of an overlay drawn at 1 px per fine cell, where
+    a mega-cell centre sits at 2 v + 1."""
+    pairs = []
+    for line in tree_lines(svg):
+        x1, y1, x2, y2 = (round((float(v) - 1) / 2) for v in re.findall(r'[xy][12]="([^"]+)"', line))
+        pairs.append(((y1, x1), (y2, x2)))
+    return pairs
+
+
+HAND_ROUTES = {
+    # mega (2, 2) -> (2, 1) -> (1, 1) -> (1, 0) -> (0, 0): every crossing goes left or up
+    "open-left-and-up": ([(5, 5), (5, 3), (3, 3), (3, 1), (1, 1)], False),
+    "repeated-crossings": ([(0, 0), (0, 2), (0, 1), (0, 3), (2, 3), (1, 3), (0, 2)], True),
+    # diagonal and two-apart jumps between mega cells cross no mega edge
+    "non-adjacent-jumps": ([(0, 0), (2, 2), (2, 6), (6, 6), (6, 7), (7, 5)], True),
+    "outside-the-grid": ([(-1, -1), (-1, 0), (-3, 0), (9, 9), (9, 11), (-1, -2), (40, 41)], True),
+    "within-one-mega-cell": ([(0, 0), (0, 1), (1, 1), (1, 0)], True),
+    "closing-step-only": ([(0, 0), (4, 4), (0, 2)], True),
+    "empty": ([], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_ROUTES))
+def test_hand_route_overlay_draws_its_crossings(name):
+    cells, closed = HAND_ROUTES[name]
+    grid = grid_of(np.arange(64.0).reshape(8, 8))
+    path = CoveragePath(cells=cells, closed=closed)
+    svg = render_svg(grid, path, show_tree=True, cell_px=1.0)
+    assert drawn_pairs(svg) == sorted(route_crossings(cells, closed))
+    # the overlay sits between the cells and the polyline, and is all that show_tree adds
+    plain = render_svg(grid, path, cell_px=1.0).splitlines(keepends=True)
+    lines = "".join(line + "\n" for line in tree_lines(svg))
+    assert svg == "".join(plain[:-2]) + lines + "".join(plain[-2:])
+
+
+def test_hand_routes_cover_each_case():
+    pairs = {name: route_crossings(*HAND_ROUTES[name]) for name in HAND_ROUTES}
+    assert pairs["open-left-and-up"] == {((2, 1), (2, 2)), ((1, 1), (2, 1)), ((1, 0), (1, 1)),
+                                         ((0, 0), (1, 0))}
+    assert pairs["repeated-crossings"] == {((0, 0), (0, 1)), ((0, 1), (1, 1))}
+    assert pairs["non-adjacent-jumps"] == {((3, 2), (3, 3))}
+    assert pairs["outside-the-grid"] == {((-1, -1), (-1, 0)), ((-2, 0), (-1, 0)),
+                                         ((4, 4), (4, 5))}
+    assert pairs["closing-step-only"] == {((0, 0), (0, 1))}
+    assert pairs["within-one-mega-cell"] == pairs["empty"] == set()
+
+
+INT64 = st.integers(-(2**63) + 100, 2**63 - 100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.tuples(INT64, INT64),
+    steps=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=30),
+    closed=st.booleans(),
+    cell_px=st.sampled_from(CELL_PX),
+)
+def test_overlay_lines_match_per_crossing_format(start, steps, closed, cell_px):
+    """A walk anywhere in int64, byte for byte against one f-string per
+    crossing, sorted in canonical edge order."""
+    cells = np.cumsum([start, *steps], axis=0, dtype=object).astype(np.int64)
+    s = float(cell_px)
+    expected = [
+        f'<line x1="{(2 * ca + 1) * s:g}" y1="{(2 * ra + 1) * s:g}" '
+        f'x2="{(2 * cb + 1) * s:g}" y2="{(2 * rb + 1) * s:g}" '
+        f'stroke="#ff7f0e" stroke-width="{0.3 * s:g}"/>'
+        for (ra, ca), (rb, cb) in sorted(route_crossings(cells, closed))
+    ]
+    svg = render_svg(grid_of(np.zeros((2, 2))), CoveragePath(cells=cells, closed=closed),
+                     show_tree=True, cell_px=cell_px)
+    assert tree_lines(svg) == expected
