@@ -9,7 +9,7 @@ from pathlib import Path
 
 from slopecover.coverage import circumnavigate, path_cost, save_path
 from slopecover.graph import average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.spanning import classical_spanning_tree, kruskal_order, minimum_spanning_tree, tree_weight
 from slopecover.svg import render_svg
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain, save_height_grid
 from slopecover.weights import WeightSpec
@@ -44,7 +44,11 @@ def main() -> None:
     graph = build_graph(mega)
     print(f"terrain {args.rows}x{args.cols}, avg slope {average_slope(mega):.3f}")
 
-    trees = {"mst": minimum_spanning_tree(graph, spec), "classical": classical_spanning_tree(graph)}
+    weights = graph.weights(spec)
+    trees = {
+        "mst": minimum_spanning_tree(graph, kruskal_order(graph, weights)),
+        "classical": classical_spanning_tree(graph),
+    }
     for name, tree in trees.items():
         route = circumnavigate(tree)
         save_path(route, out_dir / f"route_{name}.txt")
@@ -52,7 +56,7 @@ def main() -> None:
             render_svg(grid, route, show_tree=True), encoding="utf-8"
         )
         print(
-            f"{name:9s} tree weight {tree_weight(tree, spec):10.3f}  "
+            f"{name:9s} tree weight {tree_weight(tree, weights):10.3f}  "
             f"route cost {path_cost(route, grid, spec):10.3f}  "
             f"length {len(route.cells)}"
         )

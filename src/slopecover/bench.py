@@ -11,7 +11,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from slopecover.graph import average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.spanning import (
+    SpanningTree,
+    classical_spanning_tree,
+    kruskal_order,
+    minimum_spanning_tree,
+    tree_weight,
+)
 from slopecover.terrain import TerrainGenerationError, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -92,9 +98,8 @@ class SpecTrend:
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
-    """Generate every terrain of `cfg.terrain_specs()`, build its graph and
-    baseline tree once, and compare the baseline with the MST under every
-    spec in `cfg.weights`.
+    """Generate every terrain of `cfg.terrain_specs()` and compare its
+    baseline tree with the MST under every spec in `cfg.weights`.
 
     Records come back sorted by (order in `cfg.weights`, avg_slope, terrain
     index) and are fully deterministic for a fixed config. Generation
@@ -103,31 +108,48 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     """
     records: list[BenchRecord] = []
     for i, terrain in enumerate(cfg.terrain_specs()):
-        try:
-            grid = generate_terrain(terrain)
-        except TerrainGenerationError as exc:
-            raise TerrainGenerationError(f"terrain {i}: {exc}") from exc
-        mega = aggregate(grid)
-        slope = average_slope(mega)
-        graph = build_graph(mega)
-        baseline = classical_spanning_tree(graph)  # weight-blind: one tree serves every spec
-        for spec in cfg.weights:
-            mst_weight = tree_weight(minimum_spanning_tree(graph, spec), spec)
-            classical_weight = tree_weight(baseline, spec)
-            records.append(
-                BenchRecord(
-                    terrain_index=i,
-                    seed=terrain.seed,
-                    avg_slope=slope,
-                    spec=spec,
-                    classical_weight=classical_weight,
-                    mst_weight=mst_weight,
-                    gap=classical_weight - mst_weight,
-                    gap_ratio=classical_weight / mst_weight if mst_weight > 0 else 1.0,
-                )
-            )
+        records += _terrain_records(i, terrain, cfg.weights)
     spec_order = {spec: k for k, spec in enumerate(cfg.weights)}
     records.sort(key=lambda r: (spec_order[r.spec], r.avg_slope, r.terrain_index))
+    return records
+
+
+def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec]) -> list[BenchRecord]:
+    """One terrain's records. Its graph and weight-blind baseline serve every
+    spec, each spec is priced once, and one MST is built per distinct Kruskal
+    order, which the slope-aware specs usually share. Nothing of this terrain
+    outlives the call."""
+    try:
+        grid = generate_terrain(terrain)
+    except TerrainGenerationError as exc:
+        raise TerrainGenerationError(f"terrain {i}: {exc}") from exc
+    mega = aggregate(grid)
+    slope = average_slope(mega)
+    graph = build_graph(mega)
+    baseline = classical_spanning_tree(graph)
+    trees: list[tuple[np.ndarray, SpanningTree]] = []  # (Kruskal order, its MST)
+    records = []
+    for spec in specs:
+        weights = graph.weights(spec)
+        order = kruskal_order(graph, weights)
+        mst = next((tree for built, tree in trees if np.array_equal(built, order)), None)
+        if mst is None:
+            mst = minimum_spanning_tree(graph, order)
+            trees.append((order, mst))
+        mst_weight = tree_weight(mst, weights)
+        classical_weight = tree_weight(baseline, weights)
+        records.append(
+            BenchRecord(
+                terrain_index=i,
+                seed=terrain.seed,
+                avg_slope=slope,
+                spec=spec,
+                classical_weight=classical_weight,
+                mst_weight=mst_weight,
+                gap=classical_weight - mst_weight,
+                gap_ratio=classical_weight / mst_weight if mst_weight > 0 else 1.0,
+            )
+        )
     return records
 
 

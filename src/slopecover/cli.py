@@ -26,7 +26,12 @@ from slopecover.coverage import (
     validate_path,
 )
 from slopecover.graph import DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.spanning import (
+    classical_spanning_tree,
+    kruskal_order,
+    minimum_spanning_tree,
+    tree_weight,
+)
 from slopecover.terrain import (
     TerrainGenerationError,
     TerrainGenSpec,
@@ -160,11 +165,16 @@ def cmd_plan(args: argparse.Namespace) -> int:
     mega = aggregate(grid)
     spec = WeightSpec.from_token(args.weight)
     graph = build_graph(mega)
+    weights = graph.weights(spec)
     # each builder is a module global looked up at call time, so wrappers on this module see it
-    tree = minimum_spanning_tree(graph, spec) if args.method == "mst" else classical_spanning_tree(graph)
+    if args.method == "mst":
+        tree = minimum_spanning_tree(graph, kruskal_order(graph, weights))
+    else:
+        tree = classical_spanning_tree(graph)
+    weight = tree_weight(tree, weights)
+    del weights  # freed before the walk, plan's largest allocation
     path = circumnavigate(tree)
     slope = average_slope(mega)
-    weight = tree_weight(tree, spec)
     cost = path_cost(path, grid, spec)
     sacrificed = count_sacrificed_cells(grid)
     save_path(path, args.output)

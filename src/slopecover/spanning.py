@@ -8,7 +8,7 @@ import numpy as np
 
 from slopecover.graph import CoverageGraph, DisconnectedGridError
 from slopecover.terrain import component_count, joining_edges
-from slopecover.weights import WeightSpec, total_weight
+from slopecover.weights import total_weight
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,21 +25,37 @@ class SpanningTree:
         self.edges.setflags(write=False)
 
 
-def minimum_spanning_tree(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:
-    """Kruskal with union-find over the edge weights under spec.
+def kruskal_order(g: CoverageGraph, weights: np.ndarray) -> np.ndarray:
+    """Edge indices in Kruskal's scan order: the stable argsort of weights,
+    which breaks weight ties by edge index.
 
-    The stable sort over the graph's canonical edge list breaks weight ties
-    by edge index, so equal-weight graphs always yield the same tree. Raises
-    DisconnectedGridError unless the free cells form exactly one region.
+    Every slope-aware weight grows with the rise |Δh| alone, so the graph's
+    slope_order usually is that order and no spec needs its own sort. It is
+    returned when, along it, the weights never decrease and two neighbouring
+    weights are equal only where their rises are equal: then each run of
+    equal weights is a run of equal rises, which the stable sort left in
+    index order. Otherwise (unit weights, inf weights, two rises that round
+    to one weight) the weights are sorted.
     """
-    order = np.argsort(g.weights(spec, np.arange(len(g.edges))), kind="stable")
-    # the ends of each edge in sorted order; the weights are freed by now
-    a, b = g.edges[order].T.tolist()
+    order = g.slope_order
+    ranked, rises = weights[order], g.rises()[order]
+    tie = ranked[1:] == ranked[:-1]
+    if (ranked[1:] >= ranked[:-1]).all() and not (tie & (rises[1:] != rises[:-1])).any():
+        return order
+    return np.argsort(weights, kind="stable")
+
+
+def minimum_spanning_tree(g: CoverageGraph, order: np.ndarray) -> SpanningTree:
+    """Kruskal with union-find, scanning the edges in order (see kruskal_order).
+
+    Raises DisconnectedGridError unless the free cells form exactly one region.
+    """
+    a, b = g.edges[order].T.tolist()  # the ends of each edge in scan order
     n = len(g.nodes)
     chosen = joining_edges(n, a, b)  # positions in order
     if len(chosen) != n - 1:  # each chosen edge merged two regions
         raise DisconnectedGridError(n - len(chosen))
-    return SpanningTree(graph=g, edges=np.sort(order[chosen]))
+    return SpanningTree(graph=g, edges=np.sort(order[chosen]).astype(np.int64))
 
 
 def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
@@ -69,11 +85,12 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
 
 
-def tree_weight(tree: SpanningTree, spec: WeightSpec) -> float:
-    """Total edge cost under spec, summed in canonical edge order.
+def tree_weight(tree: SpanningTree, weights: np.ndarray) -> float:
+    """Total of the tree's edges in weights (graph.weights of some spec),
+    summed in canonical edge order.
 
-    spec may differ from the spec the tree was built with; the baseline tree
-    is built weight-blind but costed with slope-aware weights. Raises
+    The weights need not be the ones the tree was built with; the baseline
+    tree is built weight-blind but costed with slope-aware weights. Raises
     ValueError when the total is not finite.
     """
-    return total_weight(tree.graph.weights(spec, tree.edges), "tree_weight")
+    return total_weight(weights[tree.edges], "tree_weight")

@@ -14,7 +14,7 @@ from slopecover.bench import BenchConfig, run_benchmark, trend_statistics
 from slopecover.cli import main
 from slopecover.coverage import circumnavigate
 from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.spanning import classical_spanning_tree, kruskal_order, minimum_spanning_tree, tree_weight
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec, weight_penalty, weight_pythagoras
 
@@ -43,7 +43,8 @@ def test_criterion_2_mst_oracle():
         spec = random_weight_spec(rng)
         graph = build_graph(mega)
         expected = brute_force_min_spanning_weight(graph, spec)
-        actual = tree_weight(minimum_spanning_tree(graph, spec), spec)
+        weights = graph.weights(spec)
+        actual = tree_weight(minimum_spanning_tree(graph, kruskal_order(graph, weights)), weights)
         assert actual == pytest.approx(expected, rel=1e-9)
 
 
@@ -60,7 +61,8 @@ def test_criterion_3_coverage_invariants():
         )
         grid = generate_terrain(spec)
         mega = aggregate(grid)
-        tree = minimum_spanning_tree(build_graph(mega), WeightSpec.PYTHAGORAS)
+        graph = build_graph(mega)
+        tree = minimum_spanning_tree(graph, kruskal_order(graph, graph.weights(WeightSpec.PYTHAGORAS)))
         path = circumnavigate(tree)
         assert path.closed
         assert len(path.cells) == 4 * int((~mega.blocked).sum())
@@ -77,8 +79,9 @@ def test_criterion_4_flat_equivalence():
         mega = aggregate(grid)
         for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
             graph = build_graph(mega)
-            mst_w = tree_weight(minimum_spanning_tree(graph, spec), spec)
-            classical_w = tree_weight(classical_spanning_tree(graph), spec)
+            weights = graph.weights(spec)
+            mst_w = tree_weight(minimum_spanning_tree(graph, kruskal_order(graph, weights)), weights)
+            classical_w = tree_weight(classical_spanning_tree(graph), weights)
             assert mst_w == pytest.approx(classical_w, rel=1e-9)
 
 

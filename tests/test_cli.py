@@ -512,3 +512,18 @@ def test_per_layer_trace_sees_every_stage(tmp_path, capsys, monkeypatch):
     for stage in ("terrain.aggregate", "graph.build_graph", "spanning.minimum_spanning_tree",
                   "spanning.classical_spanning_tree"):
         assert render[f"{stage}.calls"] == 0, stage
+
+
+def test_bench_trace_builds_one_mst_per_terrain(tmp_path, capsys, monkeypatch):
+    """Both slope-aware weights share each terrain's Kruskal order, so a
+    3-terrain bench builds 3 MSTs and prices 2 trees under each of 2 specs."""
+    cli = slopecover.cli
+    tracer = load_tracing(monkeypatch).Tracer([cli, cli.bench_mod, cli.svg_mod, slopecover.bench])
+    with tracer.command(0):
+        assert run(["bench", "--terrains", "3", "--rows", "24", "--cols", "24", "--obstacles", "2",
+                    "--seed", "5", "-o", str(tmp_path / "b.csv")], capsys)[0] == 0
+    bench = tracer.metrics(0)
+    assert bench["terrain.generate_terrain.calls"] == 3
+    assert bench["spanning.minimum_spanning_tree.calls"] == 3
+    assert bench["spanning.classical_spanning_tree.calls"] == 3
+    assert bench["spanning.tree_weight.calls"] == 12

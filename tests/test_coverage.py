@@ -21,7 +21,7 @@ from slopecover.coverage import (
     validate_path,
 )
 from slopecover.graph import build_graph
-from slopecover.spanning import SpanningTree, minimum_spanning_tree, tree_weight
+from slopecover.spanning import SpanningTree, kruskal_order, minimum_spanning_tree, tree_weight
 from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -40,7 +40,8 @@ def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
 
 
 def tree_for(m: MegaGrid):
-    return minimum_spanning_tree(build_graph(m), WeightSpec.PYTHAGORAS)
+    g = build_graph(m)
+    return minimum_spanning_tree(g, kruskal_order(g, g.weights(WeightSpec.PYTHAGORAS)))
 
 
 def test_single_mega_cell_clockwise_square():
@@ -183,7 +184,7 @@ class TestPathCost:
         m = aggregate(grid)
         tree = tree_for(m)
         path = circumnavigate(tree)
-        assert tree_weight(tree, WeightSpec.PYTHAGORAS) == 2.0
+        assert tree_weight(tree, tree.graph.weights(WeightSpec.PYTHAGORAS)) == 2.0
         with pytest.raises(ValueError, match="path_cost is not finite"):
             path_cost(path, grid, WeightSpec.PYTHAGORAS)
 
@@ -192,8 +193,8 @@ def test_non_finite_tree_weight_rejected():
     m = mega([[1e308, -1e308]])
     tree = tree_for(m)
     with pytest.raises(ValueError, match="tree_weight is not finite"):
-        tree_weight(tree, WeightSpec.SLOPE_PENALTY)
-    assert tree_weight(tree, WeightSpec.UNIT) == 1.0
+        tree_weight(tree, tree.graph.weights(WeightSpec.SLOPE_PENALTY))
+    assert tree_weight(tree, tree.graph.weights(WeightSpec.UNIT)) == 1.0
 
 
 def test_path_cells_are_read_only_int64_pairs():

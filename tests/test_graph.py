@@ -31,7 +31,7 @@ def test_two_free_cells_single_edge():
     g = build_graph(mega([[0.0, 0.0]], spacing=2.0))
     assert len(g.nodes) == 2
     assert len(g.edges) == 1
-    assert g.weights(WeightSpec.PYTHAGORAS, [0]).tolist() == [2.0]
+    assert g.weights(WeightSpec.PYTHAGORAS).tolist() == [2.0]
 
 
 def test_flat_2x2_has_four_edges_no_diagonals():
@@ -58,7 +58,7 @@ def test_2x2_with_one_blocked_cell():
 def test_unit_spec_gives_unit_weights():
     heights = np.arange(12, dtype=float).reshape(3, 4) * 3.7
     g = build_graph(mega(heights))
-    assert all(w == 1.0 for w in g.weights(WeightSpec.UNIT, np.arange(len(g.edges))).tolist())
+    assert all(w == 1.0 for w in g.weights(WeightSpec.UNIT).tolist())
 
 
 def test_edges_enumerated_row_major_right_then_down():
@@ -88,7 +88,7 @@ def test_weights_match_edge_weight_of_spec():
     rng = np.random.default_rng(3)
     m = mega(rng.normal(0, 2, (3, 3)), spacing=1.5)
     g = build_graph(m)
-    weights = g.weights(WeightSpec.SLOPE_PENALTY, np.arange(len(g.edges)))
+    weights = g.weights(WeightSpec.SLOPE_PENALTY)
     for (a, b), weight in zip(g.edges.tolist(), weights.tolist()):
         h1 = m.heights[tuple(g.nodes[a])]
         h2 = m.heights[tuple(g.nodes[b])]
@@ -98,7 +98,7 @@ def test_weights_match_edge_weight_of_spec():
 
 def assert_builders_reject(g: CoverageGraph, components: int, match: str) -> None:
     """Both spanning-tree builders raise DisconnectedGridError with this region count."""
-    for build in (lambda: minimum_spanning_tree(g, WeightSpec.PYTHAGORAS),
+    for build in (lambda: minimum_spanning_tree(g, np.arange(len(g.edges))),
                   lambda: classical_spanning_tree(g)):
         with pytest.raises(DisconnectedGridError, match=match) as info:
             build()
@@ -137,8 +137,7 @@ def test_graph_is_topology_only():
     for spec in WeightSpec:
         expected = [edge_weight(spec, float(m.heights.flat[a]), float(m.heights.flat[b]), 2.0)
                     for a, b in g.edges.tolist()]
-        assert g.weights(spec, np.arange(4)).tolist() == expected
-        assert g.weights(spec, [3, 0]).tolist() == [expected[3], expected[0]]
+        assert g.weights(spec).tolist() == expected
 
 
 def test_arrays_read_only():
@@ -164,7 +163,7 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
     assert g.nodes.tolist() == [list(cell) for cell in cells]
     assert g.edges.tolist() == [list(pair) for pair in pairs]
     incident = [[-1] * 4 for _ in cells]
-    weights = g.weights(spec, np.arange(len(pairs))).tolist()
+    weights = g.weights(spec).tolist()
     for i, (a, b) in enumerate(pairs):
         (ra, ca), (rb, cb) = cells[a], cells[b]
         # a right edge is a's slot 1 and b's slot 3; a down edge a's slot 2 and b's slot 0

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+import os
 import runpy
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+import pytest
 
 from slopecover.cli import main
 from slopecover.coverage import load_path_file, validate_path
@@ -54,3 +59,38 @@ def test_run_full_benchmark_below_three_terrains_omits_correlations(tmp_path, mo
     assert main(["bench", "--seed", "42", *size, "-o", str(cli_out)]) == 0
     assert out.read_bytes() == cli_out.read_bytes()
     assert "# correlation" not in out.read_text()
+
+
+def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, capsys):
+    """The snapshot script on a stubbed benchmark runner, so nothing is timed."""
+    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPTS / "bench_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    (tmp_path / "src" / "slopecover").mkdir(parents=True)
+    (tmp_path / "src" / "slopecover" / "__init__.py").write_text('"""x"""\n__all__ = ["a", "b"]\n')
+    monkeypatch.chdir(tmp_path)
+    calls = []
+
+    def fake_run(workload):
+        calls.append(workload)
+        wall = [3.0, 1.0, 2.0][calls.count(workload) - 1]
+        return {"correct": True, "attempted": 4, "failed": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}
+
+    assert module.main(["x"], run=fake_run) == 0
+    assert "wrote BENCH_x.json" in capsys.readouterr().out
+    assert calls == list(module.WORKLOADS) * 3  # workloads take turns
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert (record["label"], record["runs"], record["src_lines"], record["all_size"]) == ("x", 3, 2, 2)
+    assert record["nproc"] == os.cpu_count()
+    for workload in module.WORKLOADS:
+        wall = record["workloads"][workload]["wall_s"]
+        assert (wall["median"], wall["unit"], wall["runs"]) == (2.0, "s", [3.0, 1.0, 2.0])
+        assert record["workloads"][workload]["peak_rss_mb"]["median"] == 50.0
+    failing = {"correct": False, "attempted": 4, "failed": 1, "metrics": {}}
+    with pytest.raises(RuntimeError, match="paper-bench: 1 of 4 commands failed"):
+        module.main(["y"], run=lambda workload: failing)
+    assert not (tmp_path / "BENCH_y.json").exists()

@@ -2,10 +2,24 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_force_min_spanning_weight, random_connected_mega, random_weight_spec
-from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from oracles import (
+    brute_force_min_spanning_weight,
+    flood_fill_regions,
+    random_connected_mega,
+    random_weight_spec,
+    stable_weight_kruskal,
+)
+from slopecover.graph import CoverageGraph, build_graph
+from slopecover.spanning import (
+    SpanningTree,
+    classical_spanning_tree,
+    kruskal_order,
+    minimum_spanning_tree,
+    tree_weight,
+)
 from slopecover.terrain import MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec, edge_weight
 
@@ -23,10 +37,18 @@ def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
     )
 
 
-@pytest.mark.parametrize("build", [minimum_spanning_tree, classical_spanning_tree])
+def mst(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:
+    return minimum_spanning_tree(g, kruskal_order(g, g.weights(spec)))
+
+
+def cost(tree: SpanningTree, spec: WeightSpec) -> float:
+    return tree_weight(tree, tree.graph.weights(spec))
+
+
+@pytest.mark.parametrize("build", [mst, classical_spanning_tree])
 def test_single_node_tree_is_empty(build):
     g = build_graph(mega([[5.0]]))
-    tree = build(g, WeightSpec.PYTHAGORAS) if build is minimum_spanning_tree else build(g)
+    tree = build(g, WeightSpec.PYTHAGORAS) if build is mst else build(g)
     assert tree.edges.tolist() == []
     assert tree.edges.dtype == np.int64
     assert g.nodes.tolist() == [[0, 0]]  # the root, node 0
@@ -34,16 +56,16 @@ def test_single_node_tree_is_empty(build):
 
 def test_flat_square_ties_break_canonically():
     g = build_graph(mega(np.zeros((2, 2)), spacing=3.0))
-    tree = minimum_spanning_tree(g, WeightSpec.PYTHAGORAS)
+    tree = mst(g, WeightSpec.PYTHAGORAS)
     # all four edges weigh d; the lexicographically first acyclic triple wins
     assert tree.edges.tolist() == [0, 1, 2]
-    assert tree_weight(tree, WeightSpec.PYTHAGORAS) == pytest.approx(9.0, rel=1e-12)
+    assert cost(tree, WeightSpec.PYTHAGORAS) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_path_graph_has_unique_spanning_tree():
     g = build_graph(mega([[0.0, 1.0, 3.0]]))
     every_edge = list(range(len(g.edges)))
-    assert minimum_spanning_tree(g, WeightSpec.PYTHAGORAS).edges.tolist() == every_edge
+    assert mst(g, WeightSpec.PYTHAGORAS).edges.tolist() == every_edge
     assert classical_spanning_tree(g).edges.tolist() == every_edge
 
 
@@ -54,17 +76,17 @@ def test_mst_matches_brute_force_on_small_grids():
         spec = random_weight_spec(rng)
         g = build_graph(m)
         expected = brute_force_min_spanning_weight(g, spec)
-        actual = tree_weight(minimum_spanning_tree(g, spec), spec)
+        actual = cost(mst(g, spec), spec)
         assert actual == pytest.approx(expected, rel=1e-9)
 
 
 def test_cut_property_on_generated_terrain():
     grid = generate_terrain(TerrainGenSpec(rows=16, cols=16, seed=11, max_obstacles=2, roughness=0.4))
     g = build_graph(aggregate(grid))
-    tree = minimum_spanning_tree(g, WeightSpec.PYTHAGORAS)
+    tree = mst(g, WeightSpec.PYTHAGORAS)
     n = len(g.nodes)
     ends = g.edges.tolist()
-    weight = g.weights(WeightSpec.PYTHAGORAS, np.arange(len(ends))).tolist()
+    weight = g.weights(WeightSpec.PYTHAGORAS).tolist()
     for removed in tree.edges.tolist():
         # split nodes into the two components left by removing this edge
         adjacency: dict[int, list[int]] = {i: [] for i in range(n)}
@@ -95,7 +117,7 @@ def test_builders_are_deterministic():
     m = mega(rng.normal(0, 2, (4, 5)))
     g = build_graph(m)
     spec = WeightSpec.SLOPE_PENALTY
-    assert np.array_equal(minimum_spanning_tree(g, spec).edges, minimum_spanning_tree(g, spec).edges)
+    assert np.array_equal(mst(g, spec).edges, mst(g, spec).edges)
     assert np.array_equal(classical_spanning_tree(g).edges, classical_spanning_tree(g).edges)
 
 
@@ -111,20 +133,20 @@ def test_classical_tree_ignores_weights():
 
 def test_tree_weight_examples():
     g = build_graph(mega([[0.0, 0.0]], spacing=2.0))
-    tree = minimum_spanning_tree(g, WeightSpec.PYTHAGORAS)
-    assert tree_weight(tree, WeightSpec.PYTHAGORAS) == 2.0
-    assert tree_weight(tree, WeightSpec.UNIT) == 1.0  # node count - 1
+    tree = mst(g, WeightSpec.PYTHAGORAS)
+    assert cost(tree, WeightSpec.PYTHAGORAS) == 2.0
+    assert cost(tree, WeightSpec.UNIT) == 1.0  # node count - 1
 
-    single = minimum_spanning_tree(build_graph(mega([[1.0]])), WeightSpec.UNIT)
-    assert tree_weight(single, WeightSpec.SLOPE_PENALTY) == 0.0
+    single = mst(build_graph(mega([[1.0]])), WeightSpec.UNIT)
+    assert cost(single, WeightSpec.SLOPE_PENALTY) == 0.0
 
 
 def test_tree_weight_reevaluates_under_other_spec():
     m = mega([[0.0, 3.0]], spacing=4.0)
-    tree = minimum_spanning_tree(build_graph(m), WeightSpec.UNIT)
-    assert tree_weight(tree, WeightSpec.UNIT) == 1.0
-    assert tree_weight(tree, WeightSpec.PYTHAGORAS) == pytest.approx(5.0, rel=1e-12)
-    assert tree_weight(tree, WeightSpec.SLOPE_PENALTY) == pytest.approx(8.75, rel=1e-12)
+    tree = mst(build_graph(m), WeightSpec.UNIT)
+    assert cost(tree, WeightSpec.UNIT) == 1.0
+    assert cost(tree, WeightSpec.PYTHAGORAS) == pytest.approx(5.0, rel=1e-12)
+    assert cost(tree, WeightSpec.SLOPE_PENALTY) == pytest.approx(8.75, rel=1e-12)
 
 
 def test_mst_never_heavier_than_classical():
@@ -135,8 +157,8 @@ def test_mst_never_heavier_than_classical():
         m = aggregate(grid)
         for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
             g = build_graph(m)
-            mst_w = tree_weight(minimum_spanning_tree(g, spec), spec)
-            classical_w = tree_weight(classical_spanning_tree(g), spec)
+            mst_w = cost(mst(g, spec), spec)
+            classical_w = cost(classical_spanning_tree(g), spec)
             assert mst_w <= classical_w + 1e-9 * max(1.0, classical_w)
 
 
@@ -145,8 +167,8 @@ def test_flat_terrain_all_trees_tie():
     m = aggregate(grid)
     for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
         g = build_graph(m)
-        mst_w = tree_weight(minimum_spanning_tree(g, spec), spec)
-        classical_w = tree_weight(classical_spanning_tree(g), spec)
+        mst_w = cost(mst(g, spec), spec)
+        classical_w = cost(classical_spanning_tree(g), spec)
         assert mst_w == pytest.approx(classical_w, rel=1e-12)
 
 
@@ -154,10 +176,77 @@ def test_tree_weight_is_left_to_right_sum_of_scalar_weights():
     grid = generate_terrain(TerrainGenSpec(rows=40, cols=40, seed=5, max_obstacles=4, roughness=0.45))
     m = aggregate(grid)
     g = build_graph(m)
-    for tree in (minimum_spanning_tree(g, WeightSpec.PYTHAGORAS), classical_spanning_tree(g)):
+    for tree in (mst(g, WeightSpec.PYTHAGORAS), classical_spanning_tree(g)):
         for spec in WeightSpec:
             expected = 0.0
             for a, b in g.edges[tree.edges].tolist():
                 h1, h2 = m.heights[tuple(g.nodes[a])], m.heights[tuple(g.nodes[b])]
                 expected += edge_weight(spec, float(h1), float(h2), m.spacing)
-            assert tree_weight(tree, spec) == expected  # exact: same terms, same order
+            assert cost(tree, spec) == expected  # exact: same terms, same order
+
+
+def assert_old_kruskal(g: CoverageGraph, spec: WeightSpec) -> np.ndarray:
+    """kruskal_order is the stable weight sort, and the tree built over it is
+    the oracle's; returns the order."""
+    weights = g.weights(spec)
+    order = kruskal_order(g, weights)
+    assert order.tolist() == np.argsort(weights, kind="stable").tolist()
+    assert mst(g, spec).edges.tolist() == stable_weight_kruskal(g, spec).tolist()
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=7),
+    cols=st.integers(min_value=1, max_value=7),
+    levels=st.sampled_from([(0.0,), (0.0, 1.0), (-2.0, 0.0, 0.5, 3.0), (0.0, 1e-9, 2e-9, 3e-9),
+                            (1e7, 1e7 + 1.0, 1e7 + 2.0), tuple(np.linspace(-4.0, 4.0, 17))]),
+    spacing=st.sampled_from([0.25, 1.0, 2.0, 7.5]),
+    spec=st.sampled_from(list(WeightSpec)),
+)
+def test_shared_order_builds_the_stable_weight_kruskal_tree(seed, rows, cols, levels, spacing, spec):
+    """Heights from a few levels give many equal rises and weights."""
+    rng = np.random.default_rng(seed)
+    blocked = rng.random((rows, cols)) < 0.2
+    assume(flood_fill_regions(~blocked) == 1)
+    heights = np.asarray(levels)[rng.integers(len(levels), size=(rows, cols))]
+    assert_old_kruskal(build_graph(mega(heights, blocked, spacing)), spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=st.lists(st.sampled_from([0.0, 1.0, 2.5, -1.0, np.inf]), min_size=12, max_size=12),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_kruskal_order_is_the_stable_weight_sort_of_any_weights(weights, seed):
+    g = build_graph(mega(np.random.default_rng(seed).normal(0.0, 2.0, (3, 3))))  # 12 edges
+    weights = np.array(weights)
+    assert kruskal_order(g, weights).tolist() == np.argsort(weights, kind="stable").tolist()
+
+
+# 2 x 2 grids whose edges e0..e3 (top, left, right, bottom) rise by r, s, r, s
+# with r > s: the rise order [1, 3, 0, 2] builds the tree {0, 1, 3}, while
+# equal weights keep index order and build {0, 1, 2}
+@pytest.mark.parametrize("heights, spacing, spec", [
+    # at d = 2 both rises price to exactly 2.0 under pythagoras
+    ([[0.0, 2e-9], [1e-9, 0.0]], 2.0, WeightSpec.PYTHAGORAS),
+    # heights near ±1e308: both rises price to inf under penalty
+    ([[0.0, 1e308], [-5e307, 0.0]], 1.0, WeightSpec.SLOPE_PENALTY),
+    ([[0.0, 4.0], [2.0, 0.0]], 1.0, WeightSpec.UNIT),
+])
+def test_weights_that_do_not_follow_the_rises_take_the_fallback(heights, spacing, spec):
+    g = build_graph(mega(heights, spacing=spacing))
+    assert g.slope_order.tolist() == [1, 3, 0, 2]
+    assert len(set(g.weights(spec).tolist())) == 1
+    assert assert_old_kruskal(g, spec).tolist() == [0, 1, 2, 3]
+    assert mst(g, spec).edges.tolist() == [0, 1, 2]
+
+
+def test_slope_aware_specs_share_the_rise_order_on_generated_terrain():
+    grid = generate_terrain(TerrainGenSpec(rows=40, cols=40, seed=5, max_obstacles=4, roughness=0.45))
+    g = build_graph(aggregate(grid))
+    for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
+        assert kruskal_order(g, g.weights(spec)) is g.slope_order
+        assert_old_kruskal(g, spec)
+    assert g.slope_order is g.slope_order  # sorted once per graph
+    with pytest.raises(ValueError):
+        g.slope_order[0] = 0

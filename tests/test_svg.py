@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import render_svg_per_cell, route_crossings
 from slopecover.coverage import CoveragePath, circumnavigate
 from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree
+from slopecover.spanning import classical_spanning_tree, kruskal_order, minimum_spanning_tree
 from slopecover.svg import render_svg
 from slopecover.terrain import (
     HeightGrid,
@@ -97,7 +97,8 @@ def test_matches_per_cell_renderer(shape, levels, scale, seed, cell_px, closed):
 
 def test_tree_overlay_matches_per_cell_renderer():
     grid = generate_terrain(TerrainGenSpec(rows=20, cols=16, seed=9, max_obstacles=3, roughness=0.3))
-    tree = minimum_spanning_tree(build_graph(aggregate(grid)), WeightSpec.SLOPE_PENALTY)
+    graph = build_graph(aggregate(grid))
+    tree = minimum_spanning_tree(graph, kruskal_order(graph, graph.weights(WeightSpec.SLOPE_PENALTY)))
     path = circumnavigate(tree)
     for cell_px in CELL_PX:
         assert (render_svg(grid, path, show_tree=True, cell_px=cell_px)
@@ -123,7 +124,10 @@ def test_planned_route_overlay_is_its_tree(shape, seed, obstacles, roughness, me
     except TerrainGenerationError:
         assume(False)
     graph = build_graph(aggregate(grid))
-    tree = minimum_spanning_tree(graph, spec) if method == "mst" else classical_spanning_tree(graph)
+    if method == "mst":
+        tree = minimum_spanning_tree(graph, kruskal_order(graph, graph.weights(spec)))
+    else:
+        tree = classical_spanning_tree(graph)
     path = circumnavigate(tree)
     assert (render_svg(grid, path, show_tree=True, cell_px=cell_px)
             == render_svg_per_cell(grid, path, tree, cell_px))
