@@ -45,7 +45,8 @@ def cost(tree: SpanningTree, spec: WeightSpec) -> float:
     return tree_weight(tree, tree.graph.weights(spec))
 
 
-@pytest.mark.parametrize("build", [mst, classical_spanning_tree])
+@pytest.mark.parametrize("build", [mst, classical_spanning_tree],
+                         ids=["minimum_spanning_tree", "classical_spanning_tree"])
 def test_single_node_tree_is_empty(build):
     g = build_graph(mega([[5.0]]))
     tree = build(g, WeightSpec.PYTHAGORAS) if build is mst else build(g)
