@@ -46,7 +46,7 @@ def main() -> None:
 
     weights = graph.weights(spec)
     trees = {
-        "mst": minimum_spanning_tree(graph, kruskal_order(graph, weights)),
+        "mst": minimum_spanning_tree(graph, kruskal_order(weights)),
         "classical": classical_spanning_tree(graph),
     }
     for name, tree in trees.items():

@@ -131,7 +131,7 @@ def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec
     records = []
     for spec in specs:
         weights = graph.weights(spec)
-        order = kruskal_order(graph, weights)
+        order = kruskal_order(weights)
         mst = next((tree for built, tree in trees if np.array_equal(built, order)), None)
         if mst is None:
             mst = minimum_spanning_tree(graph, order)

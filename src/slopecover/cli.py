@@ -165,12 +165,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     mega = aggregate(grid)
     spec = WeightSpec.from_token(args.weight)
     graph = build_graph(mega)
-    weights = graph.weights(spec)
     # each builder is a module global looked up at call time, so wrappers on this module see it
     if args.method == "mst":
-        tree = minimum_spanning_tree(graph, kruskal_order(graph, weights))
+        weights = graph.weights(spec)
+        tree = minimum_spanning_tree(graph, kruskal_order(weights))
     else:
         tree = classical_spanning_tree(graph)
+        weights = graph.weights(spec)  # priced after the DFS, which needs none
     weight = tree_weight(tree, weights)
     del weights  # freed before the walk, plan's largest allocation
     path = circumnavigate(tree)

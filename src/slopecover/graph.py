@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,28 +36,11 @@ class CoverageGraph:
     edges: np.ndarray
     incident: np.ndarray
 
-    def _end_heights(self) -> tuple[np.ndarray, np.ndarray]:
-        node_heights = self.mega.heights[~self.mega.blocked]
-        return node_heights[self.edges[:, 0]], node_heights[self.edges[:, 1]]
-
     def weights(self, spec: WeightSpec) -> np.ndarray:
         """edge_weight under spec of every edge, in canonical order, bit for bit."""
-        return edge_weights(spec, *self._end_heights(), self.mega.spacing)
-
-    def rises(self) -> np.ndarray:
-        """|height difference| of every edge, as edge_weights computes it."""
-        with np.errstate(over="ignore"):  # a difference that overflows is inf
-            return np.abs(np.subtract(*self._end_heights()))
-
-    @cached_property
-    def slope_order(self) -> np.ndarray:
-        """Edge indices stably sorted by rise, read-only and computed once per
-        graph; spanning.kruskal_order checks whether a spec's weights follow it.
-        int32 halves what the graph keeps (a grid with 2**31 edges would need
-        far more memory than their indices)."""
-        order = np.argsort(self.rises(), kind="stable").astype(np.int32)
-        order.setflags(write=False)
-        return order
+        node_heights = self.mega.heights[~self.mega.blocked]
+        a, b = self.edges.T
+        return edge_weights(spec, node_heights[a], node_heights[b], self.mega.spacing)
 
 
 def build_graph(mega: MegaGrid) -> CoverageGraph:

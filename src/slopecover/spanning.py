@@ -25,23 +25,10 @@ class SpanningTree:
         self.edges.setflags(write=False)
 
 
-def kruskal_order(g: CoverageGraph, weights: np.ndarray) -> np.ndarray:
+def kruskal_order(weights: np.ndarray) -> np.ndarray:
     """Edge indices in Kruskal's scan order: the stable argsort of weights,
-    which breaks weight ties by edge index.
-
-    Every slope-aware weight grows with the rise |Δh| alone, so the graph's
-    slope_order usually is that order and no spec needs its own sort. It is
-    returned when, along it, the weights never decrease and two neighbouring
-    weights are equal only where their rises are equal: then each run of
-    equal weights is a run of equal rises, which the stable sort left in
-    index order. Otherwise (unit weights, inf weights, two rises that round
-    to one weight) the weights are sorted.
-    """
-    order = g.slope_order
-    ranked, rises = weights[order], g.rises()[order]
-    tie = ranked[1:] == ranked[:-1]
-    if (ranked[1:] >= ranked[:-1]).all() and not (tie & (rises[1:] != rises[:-1])).any():
-        return order
+    which breaks weight ties by edge index, so equal-weight graphs always
+    yield the same tree."""
     return np.argsort(weights, kind="stable")
 
 
@@ -55,7 +42,7 @@ def minimum_spanning_tree(g: CoverageGraph, order: np.ndarray) -> SpanningTree:
     chosen = joining_edges(n, a, b)  # positions in order
     if len(chosen) != n - 1:  # each chosen edge merged two regions
         raise DisconnectedGridError(n - len(chosen))
-    return SpanningTree(graph=g, edges=np.sort(order[chosen]).astype(np.int64))
+    return SpanningTree(graph=g, edges=np.sort(order[chosen]))
 
 
 def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:

@@ -214,17 +214,15 @@ def parse_height_grid(text: str) -> HeightGrid:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     if len(lines) < 1 + rows:
         raise TerrainParseError(f"expected {rows} height rows, found {len(lines) - 1}")
-    values = _bulk_heights(lines[1 : 1 + rows], cols)
-    if values is None:  # the per-row loop gives the same values and every message
-        values = np.empty((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            tokens = lines[1 + i].split()
-            if len(tokens) != cols:
-                raise TerrainParseError(f"height row {i}: expected {cols} values, got {len(tokens)}")
-            try:
-                values[i] = [float(t) for t in tokens]
-            except ValueError as exc:
-                raise TerrainParseError(f"height row {i}: non-numeric value") from exc
+    values = np.empty((rows, cols), dtype=np.float64)
+    for i in range(rows):
+        tokens = lines[1 + i].split()
+        if len(tokens) != cols:
+            raise TerrainParseError(f"height row {i}: expected {cols} values, got {len(tokens)}")
+        try:
+            values[i] = [float(t) for t in tokens]
+        except ValueError as exc:
+            raise TerrainParseError(f"height row {i}: non-numeric value") from exc
     obstacle = np.zeros((rows, cols), dtype=bool)
     rest = lines[1 + rows :]
     if rest:
@@ -246,21 +244,6 @@ def parse_height_grid(text: str) -> HeightGrid:
             got = len(mask[good])
             raise TerrainParseError(f"mask row {good}: expected {cols} characters, got {got}")
     return HeightGrid(rows=rows, cols=cols, heights=values, obstacle=obstacle, spacing=spacing)
-
-
-def _bulk_heights(rows: list[str], cols: int) -> np.ndarray | None:
-    """The heights of rows, none of them blank, read in bulk; None when
-    np.loadtxt rejects the rows or finds other than cols values in one.
-    np.loadtxt splits a row as str.split does and reads each value as float
-    does, except that it rejects underscores and non-ASCII digits, which
-    then fall to the per-row loop like any other text it rejects."""
-    if not all(map(str.strip, rows)):  # np.loadtxt skips blank rows, and warns if all are
-        return None
-    try:
-        values = np.loadtxt(rows, ndmin=2, comments=None)
-    except ValueError:
-        return None
-    return values if values.shape == (len(rows), cols) else None
 
 
 def format_height_grid(grid: HeightGrid) -> str:

@@ -14,7 +14,7 @@ import numpy as np
 from slopecover.coverage import CoveragePath, PathParseError
 from slopecover.graph import CoverageGraph
 from slopecover.spanning import SpanningTree
-from slopecover.terrain import HeightGrid, MegaGrid, TerrainParseError, joining_edges
+from slopecover.terrain import HeightGrid, MegaGrid
 from slopecover.weights import WeightSpec, edge_weight
 
 
@@ -76,14 +76,20 @@ def brute_force_min_spanning_weight(graph: CoverageGraph, spec: WeightSpec) -> f
 
 
 def stable_weight_kruskal(graph: CoverageGraph, spec: WeightSpec) -> np.ndarray:
-    """Sorted edge indices of the MST as minimum_spanning_tree built it before
-    the shared Kruskal order: a stable argsort of the spec's own weights, then
-    union-find over the edges in that order. The graph must be connected."""
-    order = np.argsort(graph.weights(spec), kind="stable")
-    a, b = graph.edges[order].T.tolist()
-    chosen = joining_edges(len(graph.nodes), a, b)
+    """Sorted edge indices of the tree Kruskal builds when it scans the edges
+    by (weight under spec, edge index), relabelling a whole region at each
+    join. The graph must be connected."""
+    weights = graph.weights(spec).tolist()
+    label = list(range(len(graph.nodes)))
+    chosen = []
+    for e in sorted(range(len(weights)), key=lambda e: (weights[e], e)):
+        a, b = graph.edges[e].tolist()
+        if label[a] != label[b]:
+            joined, into = label[b], label[a]
+            label = [into if x == joined else x for x in label]
+            chosen.append(e)
     assert len(chosen) == len(graph.nodes) - 1, "graph passed to the oracle must be connected"
-    return np.sort(order[chosen])
+    return np.array(sorted(chosen), dtype=np.int64)
 
 
 def enumerate_edges(mega: MegaGrid) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -311,49 +317,6 @@ def parse_mask_rows(rows: list[str], cols: int) -> list[list[bool]] | str:
                 return f"mask row {i}: invalid character {ch!r}"
         flags.append([ch == "#" for ch in line])
     return flags
-
-
-def parse_height_grid_rows(text: str) -> HeightGrid:
-    """The terrain reader with its heights converted one row at a time, as it
-    stood before the bulk reader: the reference for every height and every
-    error message. The mask goes through parse_mask_rows."""
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise TerrainParseError("empty terrain file")
-    header = lines[0].split()
-    if len(header) != 3:
-        raise TerrainParseError(f"header must be 'N M spacing', got {lines[0]!r}")
-    try:
-        rows, cols, spacing = int(header[0]), int(header[1]), float(header[2])
-    except ValueError as exc:
-        raise TerrainParseError(f"malformed header {lines[0]!r}") from exc
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
-    if len(lines) < 1 + rows:
-        raise TerrainParseError(f"expected {rows} height rows, found {len(lines) - 1}")
-    values = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        tokens = lines[1 + i].split()
-        if len(tokens) != cols:
-            raise TerrainParseError(f"height row {i}: expected {cols} values, got {len(tokens)}")
-        try:
-            values[i] = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise TerrainParseError(f"height row {i}: non-numeric value") from exc
-    obstacle = np.zeros((rows, cols), dtype=bool)
-    rest = lines[1 + rows :]
-    if rest:
-        if rest[0].strip() != "MASK":
-            raise TerrainParseError(f"expected 'MASK' or end of file, got {rest[0]!r}")
-        if len(rest) != 1 + rows:
-            raise TerrainParseError(f"mask section: expected {rows} rows, found {len(rest) - 1}")
-        flags = parse_mask_rows(rest[1:], cols)
-        if isinstance(flags, str):
-            raise TerrainParseError(flags)
-        obstacle = np.array(flags, dtype=bool)
-    return HeightGrid(rows=rows, cols=cols, heights=values, obstacle=obstacle, spacing=spacing)
 
 
 def label_regions(n: int, pairs: list[tuple[int, int]]) -> int:

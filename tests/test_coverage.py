@@ -41,7 +41,7 @@ def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
 
 def tree_for(m: MegaGrid):
     g = build_graph(m)
-    return minimum_spanning_tree(g, kruskal_order(g, g.weights(WeightSpec.PYTHAGORAS)))
+    return minimum_spanning_tree(g, kruskal_order(g.weights(WeightSpec.PYTHAGORAS)))
 
 
 def test_single_mega_cell_clockwise_square():

@@ -98,7 +98,7 @@ def test_matches_per_cell_renderer(shape, levels, scale, seed, cell_px, closed):
 def test_tree_overlay_matches_per_cell_renderer():
     grid = generate_terrain(TerrainGenSpec(rows=20, cols=16, seed=9, max_obstacles=3, roughness=0.3))
     graph = build_graph(aggregate(grid))
-    tree = minimum_spanning_tree(graph, kruskal_order(graph, graph.weights(WeightSpec.SLOPE_PENALTY)))
+    tree = minimum_spanning_tree(graph, kruskal_order(graph.weights(WeightSpec.SLOPE_PENALTY)))
     path = circumnavigate(tree)
     for cell_px in CELL_PX:
         assert (render_svg(grid, path, show_tree=True, cell_px=cell_px)
@@ -125,7 +125,7 @@ def test_planned_route_overlay_is_its_tree(shape, seed, obstacles, roughness, me
         assume(False)
     graph = build_graph(aggregate(grid))
     if method == "mst":
-        tree = minimum_spanning_tree(graph, kruskal_order(graph, graph.weights(spec)))
+        tree = minimum_spanning_tree(graph, kruskal_order(graph.weights(spec)))
     else:
         tree = classical_spanning_tree(graph)
     path = circumnavigate(tree)

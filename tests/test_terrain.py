@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_fill_regions, label_regions, parse_height_grid_rows, parse_mask_rows
+from oracles import flood_fill_regions, label_regions, parse_mask_rows
 from slopecover.graph import average_slope
 from slopecover.terrain import (
     HeightGrid,
@@ -156,84 +156,6 @@ class TestParsing:
     def test_mask_omitted_when_obstacle_free(self):
         grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1.0)
         assert "MASK" not in format_height_grid(grid)
-
-
-def grid_outcome(parse, text):
-    try:
-        grid = parse(text)
-    except ValueError as exc:  # TerrainParseError, or a grid the text describes is invalid
-        return "error", type(exc), str(exc)
-    return "grid", grid.heights.tobytes(), grid.obstacle.tobytes(), grid.spacing
-
-
-# non-canonical variants of one height row, given as its list of tokens
-ROW_MUTATIONS = {
-    "none": lambda t: " ".join(t),
-    "inf": lambda t: " ".join(["inf", *t[1:]]),
-    "minus-inf": lambda t: " ".join([*t[:-1], "-Infinity"]),
-    "nan": lambda t: " ".join(["nan", *t[1:]]),
-    "underscore": lambda t: " ".join(["1_0", *t[1:]]),
-    "plus": lambda t: " ".join("+" + v.lstrip("-") for v in t),
-    "signs": lambda t: " ".join(["+-1", *t[1:]]),
-    "lone-minus": lambda t: " ".join([*t[:-1], "-"]),
-    "exponents": lambda t: " ".join(["1E5", ".5", "5.", "-0", "1e999", "-1e-999"][: len(t)] + t[6:]),
-    "bad-exponent": lambda t: " ".join(["1e", *t[1:]]),
-    "tab": lambda t: "\t".join(t),
-    "spaces": lambda t: "  " + "   ".join(t) + " ",
-    "crlf": lambda t: " ".join(t) + "\r",
-    "short": lambda t: " ".join(t[:-1]),
-    "long": lambda t: " ".join([*t, "7"]),
-    "blank": lambda t: "   ",
-    "empty": lambda t: "",
-    "comment": lambda t: " ".join(t) + " #",
-    "unicode-digit": lambda t: " ".join(["\u0661", *t[1:]]),
-    "unit-separator": lambda t: "\x1f".join(t),
-    "nul": lambda t: " ".join(["1\x002", *t[1:]]),
-}
-
-
-class TestBulkHeights:
-    """The bulk reader against the per-row reader it replaced, on
-    format_height_grid output and on every kind of odd row."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        shape=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda rc: (2 * rc[0], 2 * rc[1])),
-        heights=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=64, max_size=64),
-        blocked=st.integers(0, 4),
-        mutation=st.sampled_from(sorted(ROW_MUTATIONS)),
-        row=st.integers(0, 7),
-        crlf=st.booleans(),
-    )
-    def test_matches_per_row_reader(self, shape, heights, blocked, mutation, row, crlf):
-        rows, cols = shape
-        values = np.array(heights[: rows * cols]).reshape(rows, cols)
-        obstacle = (np.arange(rows * cols).reshape(rows, cols) * 7 + blocked) % 5 == 0
-        grid = HeightGrid(rows=rows, cols=cols, heights=values, obstacle=obstacle, spacing=1.5)
-        lines = format_height_grid(grid).splitlines()
-        lines[1 + row % rows] = ROW_MUTATIONS[mutation](lines[1 + row % rows].split(" "))
-        text = ("\r\n" if crlf else "\n").join(lines) + "\n"
-        outcome = grid_outcome(parse_height_grid, text)
-        assert outcome == grid_outcome(parse_height_grid_rows, text)
-        if mutation == "none":
-            assert outcome[0] == "grid"
-            back = parse_height_grid(text)  # the text rounds to 9 digits; once read it is a fixpoint
-            assert format_height_grid(back) == text.replace("\r\n", "\n")
-
-    @pytest.mark.parametrize("body", [
-        "1 2\n3 4", "1 2\n3 4\n", "1 2\n\n3 4", "1 2 3\n4", "1 2\n3", "1\t2\n3 4", " 1 2 \n3 4",
-        "1_0 2\n3 4", "inf 2\n3 4", "nan 2\n3 4", "1e999 2\n3 4", "1 2\r\n3 4\r\n", "1 2\r3 4",
-        "+1 -2\n+3 -4", "1e5 2E-5\n.5 5.", "1 2\n3 4\nMASK\n.#\n..", "1 2\n3 4\nMASK\n.x\n..",
-        "1 2\n3 4\nMASK\n.#", "1 2\n3 4\nmask", "- 2\n3 4", "1 2 # c\n3 4", "1 2\x0c3 4",
-        "1 2\x853 4", "1 2\u20283 4", "\u0661 2\n3 4", "1 2\n3 4\x00", "0x1p3 2\n3 4", "1,2\n3 4",
-        " \n  \nMASK", "\n\n3 4", "1\xa02\n3 4", "1\u30002\n3 4", "1\u200b2\n3 4", "\ufeff1 2\n3 4",
-        "1\x002\n3 4", "1j 2\n3 4", "nan(1) 2\n3 4", "1 2;\n3 4", "\uff11 2\n3 4", "1 2 # c\n3 4 #",
-        "1 2 3\n4 5 6", "1\n2",
-    ])
-    @pytest.mark.filterwarnings("error")
-    def test_odd_text_matches_per_row_reader(self, body):
-        text = "2 2 1.0\n" + body
-        assert grid_outcome(parse_height_grid, text) == grid_outcome(parse_height_grid_rows, text)
 
 
 class TestHeightGridInvariants:
