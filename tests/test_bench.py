@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import stable_weight_kruskal
 from slopecover import bench as bench_mod
 from slopecover.bench import (
     CSV_HEADER,
@@ -13,6 +14,9 @@ from slopecover.bench import (
     run_benchmark,
     trend_statistics,
 )
+from slopecover.graph import build_graph
+from slopecover.spanning import SpanningTree, tree_weight
+from slopecover.terrain import aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
 SMALL = dict(terrains=4, rows=16, cols=16, obstacles=2, seed=5)
@@ -90,6 +94,18 @@ class TestRun:
         cfg = small_config(terrains=3, weights=tuple(WeightSpec))
         assert len(run_benchmark(cfg)) == 3 * len(WeightSpec)
         assert calls == {"build_graph": 3, "classical_spanning_tree": 3}
+
+    def test_each_spec_gets_its_own_kruskal_tree(self):
+        """Specs share a tree only when their Kruskal orders are equal: unit
+        weights (index order) must not lend theirs to the slope-aware specs."""
+        cfg = small_config(terrains=3, weights=(WeightSpec.UNIT, WeightSpec.PYTHAGORAS,
+                                                WeightSpec.SLOPE_PENALTY))
+        records = {(r.terrain_index, r.spec): r for r in run_benchmark(cfg)}
+        for i, terrain in enumerate(cfg.terrain_specs()):
+            graph = build_graph(aggregate(generate_terrain(terrain)))
+            for spec in cfg.weights:
+                tree = SpanningTree(graph=graph, edges=stable_weight_kruskal(graph, spec))
+                assert records[i, spec].mst_weight == tree_weight(tree, graph.weights(spec))
 
     def test_record_count_and_order(self):
         cfg = small_config()
