@@ -9,7 +9,7 @@ from pathlib import Path
 
 from slopecover.coverage import circumnavigate, path_cost, save_path
 from slopecover.graph import average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, kruskal_order, minimum_spanning_tree, tree_weight
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.svg import render_svg
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain, save_height_grid
 from slopecover.weights import WeightSpec
@@ -46,7 +46,7 @@ def main() -> None:
 
     weights = graph.weights(spec)
     trees = {
-        "mst": minimum_spanning_tree(graph, kruskal_order(weights)),
+        "mst": minimum_spanning_tree(graph, weights),
         "classical": classical_spanning_tree(graph),
     }
     for name, tree in trees.items():

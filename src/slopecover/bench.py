@@ -11,13 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from slopecover.graph import average_slope, build_graph
-from slopecover.spanning import (
-    SpanningTree,
-    classical_spanning_tree,
-    kruskal_order,
-    minimum_spanning_tree,
-    tree_weight,
-)
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import TerrainGenerationError, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -57,6 +51,8 @@ class BenchConfig:
         if not self.weights:
             raise ValueError("benchmark needs at least one weight spec")
         for k, spec in enumerate(self.weights):
+            if not isinstance(spec, WeightSpec):
+                raise TypeError(f"weights must hold WeightSpec members, got {spec!r}")
             if spec in self.weights[:k]:
                 raise ValueError(f"weight spec {spec.token} is repeated")
         self.terrain_specs()  # TerrainGenSpec checks each terrain's parameters
@@ -116,9 +112,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 
 def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec]) -> list[BenchRecord]:
     """One terrain's records. Its graph and weight-blind baseline serve every
-    spec, each spec is priced once, and one MST is built per distinct Kruskal
-    order, which the slope-aware specs usually share. Nothing of this terrain
-    outlives the call."""
+    spec, and each spec is priced once and gets its own MST. Nothing of this
+    terrain outlives the call."""
     try:
         grid = generate_terrain(terrain)
     except TerrainGenerationError as exc:
@@ -127,15 +122,10 @@ def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec
     slope = average_slope(mega)
     graph = build_graph(mega)
     baseline = classical_spanning_tree(graph)
-    trees: list[tuple[np.ndarray, SpanningTree]] = []  # (Kruskal order, its MST)
     records = []
     for spec in specs:
         weights = graph.weights(spec)
-        order = kruskal_order(weights)
-        mst = next((tree for built, tree in trees if np.array_equal(built, order)), None)
-        if mst is None:
-            mst = minimum_spanning_tree(graph, order)
-            trees.append((order, mst))
+        mst = minimum_spanning_tree(graph, weights)
         mst_weight = tree_weight(mst, weights)
         classical_weight = tree_weight(baseline, weights)
         records.append(

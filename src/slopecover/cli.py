@@ -26,12 +26,7 @@ from slopecover.coverage import (
     validate_path,
 )
 from slopecover.graph import DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import (
-    classical_spanning_tree,
-    kruskal_order,
-    minimum_spanning_tree,
-    tree_weight,
-)
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import (
     TerrainGenerationError,
     TerrainGenSpec,
@@ -168,7 +163,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     # each builder is a module global looked up at call time, so wrappers on this module see it
     if args.method == "mst":
         weights = graph.weights(spec)
-        tree = minimum_spanning_tree(graph, kruskal_order(weights))
+        tree = minimum_spanning_tree(graph, weights)
     else:
         tree = classical_spanning_tree(graph)
         weights = graph.weights(spec)  # priced after the DFS, which needs none

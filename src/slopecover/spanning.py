@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from slopecover.graph import CoverageGraph, DisconnectedGridError
-from slopecover.terrain import component_count, joining_edges
+from slopecover.terrain import component_count, spanning_forest
 from slopecover.weights import total_weight
 
 
@@ -25,24 +25,15 @@ class SpanningTree:
         self.edges.setflags(write=False)
 
 
-def kruskal_order(weights: np.ndarray) -> np.ndarray:
-    """Edge indices in Kruskal's scan order: the stable argsort of weights,
-    which breaks weight ties by edge index, so equal-weight graphs always
-    yield the same tree."""
-    return np.argsort(weights, kind="stable")
-
-
-def minimum_spanning_tree(g: CoverageGraph, order: np.ndarray) -> SpanningTree:
-    """Kruskal with union-find, scanning the edges in order (see kruskal_order).
-
-    Raises DisconnectedGridError unless the free cells form exactly one region.
-    """
-    a, b = g.edges[order].T.tolist()  # the ends of each edge in scan order
+def minimum_spanning_tree(g: CoverageGraph, weights: np.ndarray) -> SpanningTree:
+    """The minimum spanning tree under weights (graph.weights of some spec),
+    ties broken by edge index: the tree stable Kruskal builds. Raises
+    DisconnectedGridError unless the free cells form exactly one region."""
     n = len(g.nodes)
-    chosen = joining_edges(n, a, b)  # positions in order
-    if len(chosen) != n - 1:  # each chosen edge merged two regions
-        raise DisconnectedGridError(n - len(chosen))
-    return SpanningTree(graph=g, edges=np.sort(order[chosen]))
+    edges = spanning_forest(n, g.edges[:, 0], g.edges[:, 1], weights)
+    if len(edges) != n - 1:  # each forest edge merged two regions
+        raise DisconnectedGridError(n - len(edges))
+    return SpanningTree(graph=g, edges=edges)
 
 
 def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:

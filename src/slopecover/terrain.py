@@ -1,5 +1,5 @@
 """Elevation grids: text format, seeded synthetic generation, 2x2 aggregation,
-and the 4-adjacency and union-find shared by the generator, graph and spanning trees."""
+and the 4-adjacency and spanning forest shared by the generator, graph and spanning trees."""
 
 from __future__ import annotations
 
@@ -152,34 +152,57 @@ def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return free[:, :-1] & free[:, 1:], free[:-1, :] & free[1:, :]
 
 
-def joining_edges(n: int, a: list[int], b: list[int]) -> list[int]:
-    """Positions k, in scan order, of the edges (a[k], b[k]) that join two
-    regions of the n nodes: union-find with path halving, stopping after n - 1
-    joins. n minus their count is the number of regions."""
-    parent = list(range(n))
-    joins: list[int] = []
-    for k, (ra, rb) in enumerate(zip(a, b)):
-        # find both roots, halving the paths on the way
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        while parent[rb] != rb:
-            parent[rb] = rb = parent[parent[rb]]
-        if ra != rb:
-            parent[ra] = rb
-            joins.append(k)
-            if len(joins) == n - 1:
-                break
-    return joins
+def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ascending indices k of the minimum spanning forest of the n nodes and
+    edges (a[k], b[k]) under the distinct keys (weights[k], k): the forest
+    stable Kruskal builds. n minus its length is the region count. Weights
+    must not be nan.
+
+    Borůvka rounds: each region takes its least-key edge and hooks to the
+    region at its far end (a mutual pair's lower id is the root); pointer
+    jumping finds the roots and cumsum relabels them.
+    """
+    chosen = np.zeros(len(a), dtype=bool)
+    edge = np.flatnonzero(a != b)  # live edges, ascending; self-loops never join
+    ra, rb, w = a[edge], b[edge], weights[edge]  # their ends' regions and their weights
+    regions = n
+    while len(edge):
+        least = np.full(regions, np.inf)
+        np.minimum.at(least, ra, w)
+        np.minimum.at(least, rb, w)
+        pick = np.full(regions, len(edge))  # lowest live position at that weight; ascending, so lowest k
+        for end in (ra, rb):
+            tied = w == least[end]
+            np.minimum.at(pick, end[tied], np.flatnonzero(tied))
+        region = np.flatnonzero(pick < len(edge))
+        if not len(region):
+            raise ValueError("edge weights must not be nan")
+        j = pick[region]
+        chosen[edge[j]] = True
+        ids = np.arange(regions)
+        parent = ids.copy()
+        parent[region] = ra[j] + rb[j] - region  # the far end's region
+        parent = np.where((parent[parent] == ids) & (ids < parent), ids, parent)  # mutual pairs
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+        root = parent == ids
+        label = (np.cumsum(root) - 1)[parent]
+        regions = int(root.sum())
+        ra, rb = label[ra], label[rb]
+        live = ra != rb
+        edge, ra, rb, w = edge[live], ra[live], rb[live], w[live]
+    return np.flatnonzero(chosen)
 
 
 def component_count(mask: np.ndarray) -> int:
     """Number of 4-connected regions of True cells."""
     right, down = adjacent_pairs(mask)
     node = np.cumsum(mask).reshape(mask.shape) - 1  # index of each True cell, row-major
-    a = np.concatenate([node[:, :-1][right], node[:-1, :][down]]).tolist()
-    b = np.concatenate([node[:, 1:][right], node[1:, :][down]]).tolist()
+    a = np.concatenate([node[:, :-1][right], node[:-1, :][down]])
+    b = np.concatenate([node[:, 1:][right], node[1:, :][down]])
     n = int(mask.sum())
-    return n - len(joining_edges(n, a, b))
+    return n - len(spanning_forest(n, a, b, np.zeros(len(a))))
 
 
 def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:

@@ -14,7 +14,7 @@ from slopecover.bench import BenchConfig, run_benchmark, trend_statistics
 from slopecover.cli import main
 from slopecover.coverage import circumnavigate
 from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree, kruskal_order, minimum_spanning_tree, tree_weight
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec, weight_penalty, weight_pythagoras
 
@@ -44,7 +44,7 @@ def test_criterion_2_mst_oracle():
         graph = build_graph(mega)
         expected = brute_force_min_spanning_weight(graph, spec)
         weights = graph.weights(spec)
-        actual = tree_weight(minimum_spanning_tree(graph, kruskal_order(weights)), weights)
+        actual = tree_weight(minimum_spanning_tree(graph, weights), weights)
         assert actual == pytest.approx(expected, rel=1e-9)
 
 
@@ -62,7 +62,7 @@ def test_criterion_3_coverage_invariants():
         grid = generate_terrain(spec)
         mega = aggregate(grid)
         graph = build_graph(mega)
-        tree = minimum_spanning_tree(graph, kruskal_order(graph.weights(WeightSpec.PYTHAGORAS)))
+        tree = minimum_spanning_tree(graph, graph.weights(WeightSpec.PYTHAGORAS))
         path = circumnavigate(tree)
         assert path.closed
         assert len(path.cells) == 4 * int((~mega.blocked).sum())
@@ -80,7 +80,7 @@ def test_criterion_4_flat_equivalence():
         for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
             graph = build_graph(mega)
             weights = graph.weights(spec)
-            mst_w = tree_weight(minimum_spanning_tree(graph, kruskal_order(weights)), weights)
+            mst_w = tree_weight(minimum_spanning_tree(graph, weights), weights)
             classical_w = tree_weight(classical_spanning_tree(graph), weights)
             assert mst_w == pytest.approx(classical_w, rel=1e-9)
 

@@ -76,6 +76,12 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
             small_config(**{key: value})
 
+    @pytest.mark.parametrize("weights, bad", [(("pythagoras",), "'pythagoras'"),
+                                              ((WeightSpec.UNIT, 1), "1"), ((None,), "None")])
+    def test_weights_reject_other_types(self, weights, bad):
+        with pytest.raises(TypeError, match=f"^weights must hold WeightSpec members, got {bad}$"):
+            small_config(weights=weights)
+
     def test_integer_keys_accept_numpy_integers(self):
         cfg = small_config(terrains=np.int64(4), seed=np.uint32(5))
         assert cfg == small_config()

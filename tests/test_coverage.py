@@ -21,7 +21,7 @@ from slopecover.coverage import (
     validate_path,
 )
 from slopecover.graph import build_graph
-from slopecover.spanning import SpanningTree, kruskal_order, minimum_spanning_tree, tree_weight
+from slopecover.spanning import SpanningTree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -41,7 +41,7 @@ def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
 
 def tree_for(m: MegaGrid):
     g = build_graph(m)
-    return minimum_spanning_tree(g, kruskal_order(g.weights(WeightSpec.PYTHAGORAS)))
+    return minimum_spanning_tree(g, g.weights(WeightSpec.PYTHAGORAS))
 
 
 def test_single_mega_cell_clockwise_square():

@@ -98,7 +98,7 @@ def test_weights_match_edge_weight_of_spec():
 
 def assert_builders_reject(g: CoverageGraph, components: int, match: str) -> None:
     """Both spanning-tree builders raise DisconnectedGridError with this region count."""
-    for build in (lambda: minimum_spanning_tree(g, np.arange(len(g.edges))),
+    for build in (lambda: minimum_spanning_tree(g, g.weights(WeightSpec.UNIT)),
                   lambda: classical_spanning_tree(g)):
         with pytest.raises(DisconnectedGridError, match=match) as info:
             build()

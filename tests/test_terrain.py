@@ -19,8 +19,8 @@ from slopecover.terrain import (
     component_count,
     format_height_grid,
     generate_terrain,
-    joining_edges,
     parse_height_grid,
+    spanning_forest,
 )
 
 
@@ -263,12 +263,14 @@ class TestRegionCount:
 
     @settings(max_examples=300)
     @given(n=st.integers(min_value=0, max_value=12), data=st.data())
-    def test_joining_edges_against_label_oracle(self, n, data):
+    def test_spanning_forest_against_label_oracle(self, n, data):
         node = st.integers(min_value=0, max_value=max(n - 1, 0))
         pairs = data.draw(st.lists(st.tuples(node, node), max_size=30)) if n else []
-        a, b = [p[0] for p in pairs], [p[1] for p in pairs]
-        joins = joining_edges(n, a, b)
-        assert joins == sorted(set(joins))  # strictly increasing scan positions
+        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        forest = spanning_forest(n, a, b, np.zeros(len(pairs)))
+        assert forest.dtype == np.int64
+        joins = forest.tolist()
+        assert joins == sorted(set(joins))  # strictly increasing edge indices
         assert n - len(joins) == label_regions(n, pairs)
         assert len(joins) <= max(n - 1, 0)
         # exactly the edges that lower the region count of the pairs before them
