@@ -233,3 +233,9 @@ def test_different_rises_with_equal_weights_keep_index_order(heights, spacing, s
     assert mst(g, spec).edges.tolist() == [0, 1, 2]
     assert_old_kruskal(g, spec)
 
+
+
+def test_nan_weights_raise_instead_of_looping():
+    g = build_graph(mega(np.zeros((2, 2))))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^edge weights must not be nan$"):
+        minimum_spanning_tree(g, np.full(len(g.edges), np.nan))
