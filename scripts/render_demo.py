@@ -1,18 +1,25 @@
 #!/usr/bin/env python3
 """Generate a demo terrain, plan routes with both tree methods, and render
-side-by-side SVG figures with the spanning trees overlaid."""
+side-by-side SVG figures with the spanning trees overlaid.
+
+Each step is a `slopecover` command: gen-terrain, then plan and
+render --show-tree once per method. plan's metrics go to stdout.
+"""
 
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from slopecover.coverage import circumnavigate, path_cost, save_path
-from slopecover.graph import average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
-from slopecover.svg import render_svg
-from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain, save_height_grid
+from slopecover import cli
 from slopecover.weights import WeightSpec
+
+
+def run(*argv: object) -> None:
+    code = cli.main([str(arg) for arg in argv])
+    if code:
+        sys.exit(code)
 
 
 def main() -> None:
@@ -28,38 +35,15 @@ def main() -> None:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    grid = generate_terrain(
-        TerrainGenSpec(
-            rows=args.rows,
-            cols=args.cols,
-            seed=args.seed,
-            max_obstacles=args.obstacles,
-            roughness=args.roughness,
-        )
-    )
-    save_height_grid(grid, out_dir / "terrain.txt")
-    mega = aggregate(grid)
-    spec = WeightSpec.from_token(args.weight)
-    graph = build_graph(mega)
-    print(f"terrain {args.rows}x{args.cols}, avg slope {average_slope(mega):.3f}")
-
-    weights = graph.weights(spec)
-    trees = {
-        "mst": minimum_spanning_tree(graph, weights),
-        "classical": classical_spanning_tree(graph),
-    }
-    for name, tree in trees.items():
-        route = circumnavigate(tree)
-        save_path(route, out_dir / f"route_{name}.txt")
-        (out_dir / f"route_{name}.svg").write_text(
-            render_svg(grid, route, show_tree=True), encoding="utf-8"
-        )
-        print(
-            f"{name:9s} tree weight {tree_weight(tree, weights):10.3f}  "
-            f"route cost {path_cost(route, grid, spec):10.3f}  "
-            f"length {len(route.cells)}"
-        )
+    terrain = out_dir / "terrain.txt"
+    run("gen-terrain", "--rows", args.rows, "--cols", args.cols, "--seed", args.seed,
+        "--obstacles", args.obstacles, "--roughness", args.roughness, "-o", terrain)
+    for method in ("mst", "classical"):
+        route = out_dir / f"route_{method}.txt"
+        print(f"# {method}", flush=True)
+        run("plan", "--terrain", terrain, "--weight", args.weight, "--method", method, "-o", route)
+        run("render", "--terrain", terrain, "--path", route, "--show-tree",
+            "-o", out_dir / f"route_{method}.svg")
     print(f"figures in {out_dir}/")
 
 

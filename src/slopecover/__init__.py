@@ -8,106 +8,33 @@ compares the weighted MST against a weight-blind baseline tree across seeded
 random terrains.
 """
 
-from slopecover.bench import (
-    BenchConfig,
-    BenchRecord,
-    SpecTrend,
-    format_csv,
-    run_benchmark,
-    trend_statistics,
-    write_csv,
-)
-from slopecover.coverage import (
-    CoveragePath,
-    PathMismatchError,
-    PathParseError,
-    circumnavigate,
-    count_sacrificed_cells,
-    format_path,
-    load_path_file,
-    parse_path,
-    path_cost,
-    save_path,
-    validate_path,
-)
-from slopecover.graph import (
-    CoverageGraph,
-    DisconnectedGridError,
-    average_slope,
-    build_graph,
-)
-from slopecover.spanning import (
-    SpanningTree,
-    classical_spanning_tree,
-    minimum_spanning_tree,
-    tree_weight,
-)
+from slopecover.bench import BenchConfig, reported_trends, run_benchmark
+from slopecover.coverage import circumnavigate, path_cost
+from slopecover.graph import DisconnectedGridError, average_slope, build_graph
+from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.svg import render_svg
-from slopecover.terrain import (
-    HeightGrid,
-    MegaGrid,
-    TerrainGenSpec,
-    TerrainGenerationError,
-    TerrainParseError,
-    aggregate,
-    format_height_grid,
-    generate_terrain,
-    load_height_grid,
-    parse_height_grid,
-    save_height_grid,
-)
-from slopecover.weights import (
-    WeightSpec,
-    edge_weight,
-    weight_penalty,
-    weight_pythagoras,
-    weight_unit,
-)
+from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
+from slopecover.weights import WeightSpec
 
 __version__ = "0.1.0"
 
+# the names README's library section documents; everything else is
+# imported from its own module
 __all__ = [
     "BenchConfig",
-    "BenchRecord",
-    "CoverageGraph",
-    "CoveragePath",
     "DisconnectedGridError",
-    "HeightGrid",
-    "MegaGrid",
-    "PathMismatchError",
-    "PathParseError",
-    "SpanningTree",
-    "SpecTrend",
     "TerrainGenSpec",
-    "TerrainGenerationError",
-    "TerrainParseError",
     "WeightSpec",
     "aggregate",
     "average_slope",
     "build_graph",
     "circumnavigate",
     "classical_spanning_tree",
-    "count_sacrificed_cells",
-    "edge_weight",
-    "format_csv",
-    "format_height_grid",
-    "format_path",
     "generate_terrain",
-    "load_height_grid",
-    "load_path_file",
     "minimum_spanning_tree",
-    "parse_height_grid",
-    "parse_path",
     "path_cost",
     "render_svg",
+    "reported_trends",
     "run_benchmark",
-    "save_height_grid",
-    "save_path",
     "tree_weight",
-    "trend_statistics",
-    "validate_path",
-    "weight_penalty",
-    "weight_pythagoras",
-    "weight_unit",
-    "write_csv",
 ]

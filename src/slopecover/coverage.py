@@ -33,8 +33,11 @@ class CoveragePath:
     closed: bool = True
 
     def __post_init__(self) -> None:
-        cells = np.array(self.cells if len(self.cells) else np.empty((0, 2), np.int64))
-        if cells.ndim != 2 or cells.shape[1] != 2 or not np.can_cast(cells.dtype, np.int64):
+        cells = np.array(self.cells)
+        if cells.shape[:1] == (0,):  # empty, of any element shape
+            cells = np.empty((0, 2), np.int64)
+        integer = cells.dtype != bool and np.can_cast(cells.dtype, np.int64)  # can_cast passes bool
+        if cells.ndim != 2 or cells.shape[1] != 2 or not integer:
             raise ValueError(f"cells must be (L, 2) integers, got {cells.dtype} {cells.shape}")
         cells = cells.astype(np.int64)
         cells.setflags(write=False)

@@ -37,7 +37,7 @@ class CoverageGraph:
     incident: np.ndarray
 
     def weights(self, spec: WeightSpec) -> np.ndarray:
-        """edge_weight under spec of every edge, in canonical order, bit for bit."""
+        """edge_weights under spec of every edge, in canonical order."""
         node_heights = self.mega.heights[~self.mega.blocked]
         a, b = self.edges.T
         return edge_weights(spec, node_heights[a], node_heights[b], self.mega.spacing)

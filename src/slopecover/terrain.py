@@ -214,6 +214,16 @@ def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:
     return total, count
 
 
+def _height_row(line: str, i: int, cols: int) -> list[float]:
+    tokens = line.split()
+    if len(tokens) != cols:
+        raise TerrainParseError(f"height row {i}: expected {cols} values, got {len(tokens)}")
+    try:
+        return [float(t) for t in tokens]
+    except ValueError as exc:
+        raise TerrainParseError(f"height row {i}: non-numeric value") from exc
+
+
 def parse_height_grid(text: str) -> HeightGrid:
     """Parse the terrain text format.
 
@@ -237,15 +247,14 @@ def parse_height_grid(text: str) -> HeightGrid:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     if len(lines) < 1 + rows:
         raise TerrainParseError(f"expected {rows} height rows, found {len(lines) - 1}")
+    if rows * cols > len(text):
+        # each value takes a character, so some row is short: raise its error
+        # before allocating the header's size
+        for i in range(rows):
+            _height_row(lines[1 + i], i, cols)
     values = np.empty((rows, cols), dtype=np.float64)
     for i in range(rows):
-        tokens = lines[1 + i].split()
-        if len(tokens) != cols:
-            raise TerrainParseError(f"height row {i}: expected {cols} values, got {len(tokens)}")
-        try:
-            values[i] = [float(t) for t in tokens]
-        except ValueError as exc:
-            raise TerrainParseError(f"height row {i}: non-numeric value") from exc
+        values[i] = _height_row(lines[1 + i], i, cols)
     obstacle = np.zeros((rows, cols), dtype=bool)
     rest = lines[1 + rows :]
     if rest:

@@ -1,4 +1,4 @@
-"""Edge-weight functions mapping two cell heights and a horizontal distance to a cost."""
+"""Edge pricing: two cell heights and a horizontal distance to a cost."""
 
 from __future__ import annotations
 
@@ -38,42 +38,19 @@ def _check_distance(d: float) -> None:
         raise ValueError(f"horizontal distance must be positive, got {d}")
 
 
-def weight_unit(h1: float, h2: float, d: float) -> float:
-    """Flat-terrain baseline cost: every edge counts 1 regardless of heights."""
-    _check_distance(d)
-    return 1.0
-
-
-def weight_pythagoras(h1: float, h2: float, d: float) -> float:
-    """Straight-line distance between the cell centres, sqrt(d^2 + (h1-h2)^2)."""
-    _check_distance(d)
-    return math.hypot(d, h1 - h2)
-
-
-def weight_penalty(h1: float, h2: float, d: float) -> float:
-    """Straight-line distance amplified by (1 + |h1-h2|/d) to punish steep edges."""
-    _check_distance(d)
-    return math.hypot(d, h1 - h2) * (1.0 + abs(h1 - h2) / d)
-
-
-def edge_weight(spec: WeightSpec, h1: float, h2: float, d: float) -> float:
-    """Dispatch to the weight function selected by spec; symmetric in (h1, h2)."""
-    if spec is WeightSpec.UNIT:
-        return weight_unit(h1, h2, d)
-    if spec is WeightSpec.PYTHAGORAS:
-        return weight_pythagoras(h1, h2, d)
-    if spec is WeightSpec.SLOPE_PENALTY:
-        return weight_penalty(h1, h2, d)
-    raise TypeError(f"not a WeightSpec: {spec!r}")
-
-
 def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> np.ndarray:
-    """edge_weight of each pair (h1[i], h2[i]) as one float64 array, bit for bit.
+    """The cost under spec of each pair (h1[i], h2[i]) at horizontal distance d,
+    as one float64 array; symmetric in (h1, h2).
 
-    The subtraction, |diff| / d, the penalty factor and the product are the
-    same IEEE operations in numpy as on Python floats. hypot is not: np.hypot
-    differs from math.hypot in the last bit on some inputs, so it runs through
-    math.hypot. Differences that overflow give inf, as on Python floats.
+    - UNIT: 1, the flat-terrain baseline;
+    - PYTHAGORAS: the straight-line distance sqrt(d^2 + (h1-h2)^2);
+    - SLOPE_PENALTY: that distance times (1 + |h1-h2|/d), to punish steep edges.
+
+    Each value is bit for bit what the formula gives on Python floats: the
+    subtraction, |diff| / d, the penalty factor and the product are the same
+    IEEE operations in numpy, and the distance runs through math.hypot, since
+    np.hypot differs from it in the last bit on some inputs. Differences that
+    overflow give inf.
     """
     _check_distance(d)
     with np.errstate(over="ignore"):

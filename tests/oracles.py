@@ -7,6 +7,7 @@ enumeration) so it cannot share a bug with the code under test.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -15,7 +16,19 @@ from slopecover.coverage import CoveragePath, PathParseError
 from slopecover.graph import CoverageGraph
 from slopecover.spanning import SpanningTree
 from slopecover.terrain import HeightGrid, MegaGrid
-from slopecover.weights import WeightSpec, edge_weight
+from slopecover.weights import WeightSpec
+
+
+def scalar_weight(spec: WeightSpec, h1: float, h2: float, d: float) -> float:
+    """One edge's cost from its formula on Python floats: 1, the straight-line
+    distance math.hypot(d, h1 - h2), or that distance times 1 + |h1 - h2| / d.
+    The bit-for-bit reference for weights.edge_weights."""
+    if spec is WeightSpec.UNIT:
+        return 1.0
+    distance = math.hypot(d, h1 - h2)
+    if spec is WeightSpec.PYTHAGORAS:
+        return distance
+    return distance * (1.0 + abs(h1 - h2) / d)
 
 
 def flood_fill_regions(mask: np.ndarray) -> int:
@@ -41,13 +54,13 @@ def flood_fill_regions(mask: np.ndarray) -> int:
 
 def brute_force_min_spanning_weight(graph: CoverageGraph, spec: WeightSpec) -> float:
     """Minimum spanning-tree weight under spec by enumerating every (n-1)-edge
-    subset, each edge priced by the scalar edge_weight."""
+    subset, each edge priced by scalar_weight."""
     n = len(graph.nodes)
     if n == 1:
         return 0.0
     mega = graph.mega
     heights = [float(mega.heights[r, c]) for r, c in graph.nodes.tolist()]
-    cost = [edge_weight(spec, heights[a], heights[b], mega.spacing) for a, b in graph.edges.tolist()]
+    cost = [scalar_weight(spec, heights[a], heights[b], mega.spacing) for a, b in graph.edges.tolist()]
     best = None
     for combo in itertools.combinations(range(len(graph.edges)), n - 1):
         parent = list(range(n))
@@ -201,14 +214,14 @@ def tree_crossing_violations(path: CoveragePath, tree: SpanningTree) -> list[str
 
 
 def scalar_path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
-    """Route cost by the scalar edge_weight, one step at a time, added left to right."""
+    """Route cost by scalar_weight, one step at a time, added left to right."""
     cells = [tuple(cell) for cell in path.cells.tolist()]
     if len(cells) < 2:
         return 0.0
     successors = cells[1:] + (cells[:1] if path.closed else [])
     total = 0.0
     for a, b in zip(cells, successors):
-        total += edge_weight(spec, float(grid.heights[a]), float(grid.heights[b]), grid.spacing)
+        total += scalar_weight(spec, float(grid.heights[a]), float(grid.heights[b]), grid.spacing)
     return total
 
 

@@ -16,7 +16,7 @@ from slopecover.coverage import circumnavigate
 from slopecover.graph import build_graph
 from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
-from slopecover.weights import WeightSpec, weight_penalty, weight_pythagoras
+from slopecover.weights import WeightSpec, edge_weights
 
 SPLIT_8X8 = (
     "\n".join(["8 8 1.0"] + ["0 0 0 0 0 0 0 0"] * 8)
@@ -28,11 +28,15 @@ SPLIT_8X8 = (
 
 @pytest.mark.acceptance(1, "weight functions: exact values, flat inputs return d")
 def test_criterion_1_weight_functions():
-    assert abs(weight_pythagoras(3, 0, 4) - 5.0) <= 1e-12
-    assert abs(weight_penalty(3, 0, 4) - 8.75) <= 1e-12
+    def price(spec, h1, h2, d):  # edge_weights on one pair of heights
+        return float(edge_weights(spec, np.array([h1], np.float64), np.array([h2], np.float64), d)[0])
+
+    pythagoras, penalty = WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY
+    assert abs(price(pythagoras, 3, 0, 4) - 5.0) <= 1e-12
+    assert abs(price(penalty, 3, 0, 4) - 8.75) <= 1e-12
     for h, d in ((0.0, 1.0), (-3.5, 0.25), (12.0, 7.5), (1e4, 3.0)):
-        assert abs(weight_pythagoras(h, h, d) - d) <= 1e-12
-        assert abs(weight_penalty(h, h, d) - d) <= 1e-12
+        assert abs(price(pythagoras, h, h, d) - d) <= 1e-12
+        assert abs(price(penalty, h, h, d) - d) <= 1e-12
 
 
 @pytest.mark.acceptance(2, "MST equals brute-force enumeration on 200 small grids")

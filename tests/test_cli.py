@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -210,6 +211,22 @@ class TestPlan:
         assert out == ""
         assert err == "error: mega grid has no free cells (need exactly 1 free region)\n"
         assert not output.exists()
+
+
+@pytest.mark.parametrize("command", [["plan"], ["render", "--path", "missing.txt"]])
+def test_oversized_header_exit_3_without_allocating(tmp_path, capsys, command):
+    # the header asks for 2 x 10^12 heights (16 TB) in a file of 4
+    terrain = tmp_path / "t.txt"
+    terrain.write_text("2 1000000000000 1.0\n1 2\n3 4\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run([*command, "--terrain", str(terrain), "-o", str(tmp_path / "o")], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err == "error: height row 0: expected 1000000000000 values, got 2\n"
+    assert peak < 2**20
 
 
 def test_region_count_runs_only_in_the_generator(tmp_path, capsys, monkeypatch):

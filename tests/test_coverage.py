@@ -203,7 +203,9 @@ def test_path_cells_are_read_only_int64_pairs():
     with pytest.raises(ValueError):
         path.cells[0, 0] = 5
     assert CoveragePath(cells=()).cells.shape == (0, 2)
-    for bad in ([(0.5, 1.0)], [(1, 2, 3), (4, 5, 6)], [1, 2], np.array([[2**63]], dtype=np.uint64)):
+    bad_cells = ([(0.5, 1.0)], [(1, 2, 3), (4, 5, 6)], [1, 2], np.array([[2**63]], dtype=np.uint64),
+                 [[True, False]], 5)
+    for bad in bad_cells:
         with pytest.raises(ValueError, match="integers"):
             CoveragePath(cells=bad)
     route = circumnavigate(tree_for(mega([[0.0, 1.0]])))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_edges, flood_fill_regions
+from oracles import enumerate_edges, flood_fill_regions, scalar_weight
 from slopecover.graph import CoverageGraph, DisconnectedGridError, average_slope, build_graph
 from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree
 from slopecover.terrain import MegaGrid
-from slopecover.weights import WeightSpec, edge_weight
+from slopecover.weights import WeightSpec
 
 
 def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
@@ -135,7 +135,7 @@ def test_graph_is_topology_only():
     g = build_graph(m)
     # one graph serves every spec
     for spec in WeightSpec:
-        expected = [edge_weight(spec, float(m.heights.flat[a]), float(m.heights.flat[b]), 2.0)
+        expected = [scalar_weight(spec, float(m.heights.flat[a]), float(m.heights.flat[b]), 2.0)
                     for a, b in g.edges.tolist()]
         assert g.weights(spec).tolist() == expected
 
@@ -170,7 +170,7 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
         incident[a][1 if ra == rb else 2] = i
         incident[b][3 if ra == rb else 0] = i
         h1, h2 = float(m.heights[ra, ca]), float(m.heights[rb, cb])
-        assert weights[i] == edge_weight(spec, h1, h2, m.spacing)  # exact, not approx
+        assert weights[i] == scalar_weight(spec, h1, h2, m.spacing)  # exact, not approx
     assert g.incident.tolist() == incident
     regions = flood_fill_regions(~blocked)
     if regions != 1:  # disconnected or empty: neither builder gives a tree

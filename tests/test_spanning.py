@@ -10,6 +10,7 @@ from oracles import (
     flood_fill_regions,
     random_connected_mega,
     random_weight_spec,
+    scalar_weight,
     stable_weight_kruskal,
 )
 from slopecover.graph import CoverageGraph, DisconnectedGridError, build_graph
@@ -20,7 +21,7 @@ from slopecover.spanning import (
     tree_weight,
 )
 from slopecover.terrain import MegaGrid, TerrainGenSpec, aggregate, generate_terrain
-from slopecover.weights import WeightSpec, edge_weight
+from slopecover.weights import WeightSpec
 
 
 def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
@@ -181,7 +182,7 @@ def test_tree_weight_is_left_to_right_sum_of_scalar_weights():
             expected = 0.0
             for a, b in g.edges[tree.edges].tolist():
                 h1, h2 = m.heights[tuple(g.nodes[a])], m.heights[tuple(g.nodes[b])]
-                expected += edge_weight(spec, float(h1), float(h2), m.spacing)
+                expected += scalar_weight(spec, float(h1), float(h2), m.spacing)
             assert cost(tree, spec) == expected  # exact: same terms, same order
 
 

@@ -24,6 +24,32 @@ from slopecover.terrain import (
 )
 
 
+_DIMS = st.sampled_from([2, 4, 2, 4, 6, 0, 3, 10**12])
+# mostly valid, so that some texts reach the mask section and parse
+_HEIGHT = st.sampled_from(["0", "-1.5", "2", "1e308", "0.25", "-7", "0", "2", "1e999", "nan", "x", ""])
+
+
+def _near(n: int, otherwise: st.SearchStrategy[int]) -> st.SearchStrategy[int]:
+    """n, or one off it, when n is a small positive count."""
+    return st.sampled_from([n, n, n, n, n + 1, n - 1]) if 0 < n <= 6 else otherwise
+
+
+@st.composite
+def terrain_like_texts(draw) -> str:
+    """Terrain text with parts of it broken: dimensions that are odd, not
+    positive or huge, sections with a row too many or too few, rows of the
+    wrong width, bad heights and bad mask characters."""
+    rows, cols = draw(_DIMS), draw(_DIMS)
+    count, width = _near(rows, st.integers(0, 8)), _near(cols, st.integers(0, 6))
+    height_row = width.flatmap(lambda n: st.lists(_HEIGHT, min_size=n, max_size=n)).map(" ".join)
+    mask_row = width.flatmap(lambda n: st.text(".#.#?", min_size=n, max_size=n))
+    lines = [f"{rows} {cols} {draw(st.sampled_from(['1', '0.5', '0', 'x']))}"]
+    lines += draw(count.flatmap(lambda n: st.lists(height_row, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        lines += ["MASK", *draw(count.flatmap(lambda n: st.lists(mask_row, min_size=n, max_size=n)))]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
 class TestParsing:
     def test_minimal_file(self):
         grid = parse_height_grid("2 2 1.0\n1 2\n3 4\n")
@@ -120,6 +146,27 @@ class TestParsing:
     def test_empty_file(self):
         with pytest.raises(TerrainParseError, match="empty"):
             parse_height_grid("\n\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 1000000000000 1.0\n1 2\n3 4\n", "height row 0: expected 1000000000000 values, got 2"),
+            # more values than characters, and an earlier row fails first
+            ("4 8 1\n0 0 0 0 0 0 0 x\n1\n2\n3", "height row 0: non-numeric value"),
+        ],
+    )
+    def test_header_larger_than_the_text(self, text, message):
+        with pytest.raises(TerrainParseError) as info:
+            parse_height_grid(text)
+        assert str(info.value) == message
+
+    @settings(max_examples=500)
+    @given(text=st.one_of(st.text(), terrain_like_texts()))
+    def test_fuzzed_text_raises_only_documented_errors(self, text):
+        try:
+            parse_height_grid(text)
+        except ValueError:  # TerrainParseError is one
+            pass
 
     def test_round_trip_nine_significant_digits(self):
         rng = np.random.default_rng(99)

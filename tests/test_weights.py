@@ -7,51 +7,51 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slopecover.weights import (
-    WeightSpec,
-    edge_weight,
-    edge_weights,
-    total_weight,
-    weight_penalty,
-    weight_pythagoras,
-    weight_unit,
-)
+from oracles import scalar_weight
+from slopecover.weights import WeightSpec, edge_weights, total_weight
 
 finite_heights = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 distances = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 
+UNIT, PYTHAGORAS, PENALTY = WeightSpec.UNIT, WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY
+
+
+def price(spec: WeightSpec, h1: float, h2: float, d: float) -> float:
+    """edge_weights on one pair of heights."""
+    return float(edge_weights(spec, np.array([h1], np.float64), np.array([h2], np.float64), d)[0])
+
 
 def test_unit_ignores_inputs():
-    assert weight_unit(0, 0, 2) == 1.0
-    assert weight_unit(5, -3, 1) == 1.0
-    assert weight_unit(123.4, 123.4, 0.5) == 1.0
+    assert price(UNIT, 0, 0, 2) == 1.0
+    assert price(UNIT, 5, -3, 1) == 1.0
+    assert price(UNIT, 123.4, 123.4, 0.5) == 1.0
 
 
 def test_pythagoras_three_four_five():
-    assert weight_pythagoras(3, 0, 4) == pytest.approx(5.0, abs=1e-12)
-    assert weight_pythagoras(0, 3, 4) == pytest.approx(5.0, abs=1e-12)
+    assert price(PYTHAGORAS, 3, 0, 4) == pytest.approx(5.0, abs=1e-12)
+    assert price(PYTHAGORAS, 0, 3, 4) == pytest.approx(5.0, abs=1e-12)
 
 
 def test_pythagoras_flat_returns_distance():
     for h in (0.0, -12.5, 3.25):
         for d in (0.5, 1.0, 7.0):
-            assert weight_pythagoras(h, h, d) == d
+            assert price(PYTHAGORAS, h, h, d) == d
 
 
 def test_penalty_values():
-    assert weight_penalty(3, 0, 4) == pytest.approx(8.75, abs=1e-12)
-    assert weight_penalty(4, 0, 3) == pytest.approx(35.0 / 3.0, rel=1e-12)
+    assert price(PENALTY, 3, 0, 4) == pytest.approx(8.75, abs=1e-12)
+    assert price(PENALTY, 4, 0, 3) == pytest.approx(35.0 / 3.0, rel=1e-12)
 
 
 def test_penalty_flat_returns_distance():
     for h in (0.0, -2.0, 9.75):
-        assert weight_penalty(h, h, 4.0) == 4.0
+        assert price(PENALTY, h, h, 4.0) == 4.0
 
 
 def test_dispatch():
-    assert edge_weight(WeightSpec.UNIT, 9, 1, 2) == 1.0
-    assert edge_weight(WeightSpec.PYTHAGORAS, 3, 0, 4) == pytest.approx(5.0, abs=1e-12)
-    assert edge_weight(WeightSpec.SLOPE_PENALTY, 3, 0, 4) == pytest.approx(8.75, abs=1e-12)
+    assert price(UNIT, 9, 1, 2) == 1.0
+    assert price(PYTHAGORAS, 3, 0, 4) == pytest.approx(5.0, abs=1e-12)
+    assert price(PENALTY, 3, 0, 4) == pytest.approx(8.75, abs=1e-12)
 
 
 def test_tokens_round_trip():
@@ -65,21 +65,21 @@ def test_tokens_round_trip():
 @pytest.mark.parametrize("spec", list(WeightSpec))
 def test_nonpositive_distance_rejected(spec):
     with pytest.raises(ValueError, match="positive"):
-        edge_weight(spec, 1.0, 2.0, 0.0)
+        price(spec, 1.0, 2.0, 0.0)
     with pytest.raises(ValueError, match="positive"):
-        edge_weight(spec, 1.0, 2.0, -4.0)
+        price(spec, 1.0, 2.0, -4.0)
 
 
 @pytest.mark.parametrize("spec", list(WeightSpec))
 @given(h1=finite_heights, h2=finite_heights, d=distances)
 def test_symmetry(spec, h1, h2, d):
-    assert edge_weight(spec, h1, h2, d) == edge_weight(spec, h2, h1, d)
+    assert price(spec, h1, h2, d) == price(spec, h2, h1, d)
 
 
 @given(h1=finite_heights, h2=finite_heights, d=distances)
 def test_dominance(h1, h2, d):
-    pyth = weight_pythagoras(h1, h2, d)
-    pen = weight_penalty(h1, h2, d)
+    pyth = price(PYTHAGORAS, h1, h2, d)
+    pen = price(PENALTY, h1, h2, d)
     assert pyth >= d
     assert pen >= pyth
     if h1 == h2:
@@ -89,9 +89,9 @@ def test_dominance(h1, h2, d):
 
 def test_strictly_increasing_in_height_gap():
     d = 2.0
-    gaps = [0.0, 0.5, 1.0, 2.0, 5.0, 50.0]
-    pyth = [weight_pythagoras(0.0, gap, d) for gap in gaps]
-    pen = [weight_penalty(0.0, gap, d) for gap in gaps]
+    gaps = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 50.0])
+    pyth = edge_weights(PYTHAGORAS, np.zeros(len(gaps)), gaps, d).tolist()
+    pen = edge_weights(PENALTY, np.zeros(len(gaps)), gaps, d).tolist()
     assert pyth == sorted(pyth) and len(set(pyth)) == len(pyth)
     assert pen == sorted(pen) and len(set(pen)) == len(pen)
 
@@ -103,8 +103,8 @@ def test_strictly_increasing_in_height_gap():
     k=st.floats(min_value=1e-3, max_value=1e3),
 )
 def test_pythagoras_positive_homogeneity(h1, h2, k, d):
-    scaled = weight_pythagoras(k * h1, k * h2, k * d)
-    reference = k * weight_pythagoras(h1, h2, d)
+    scaled = price(PYTHAGORAS, k * h1, k * h2, k * d)
+    reference = k * price(PYTHAGORAS, h1, h2, d)
     # tolerance scaled to the inputs: forming k*h1 - k*h2 loses relative precision
     assert abs(scaled - reference) <= 1e-9 * k * (abs(h1) + abs(h2) + d + 1.0)
 
@@ -129,7 +129,7 @@ def test_array_weights_equal_scalar_weights_bit_for_bit(spec, pairs, d):
     assert len(_DISAGREE_H1) > 0, "the data must include inputs where np.hypot != math.hypot"
     for h1, h2, dist in cases:
         expected = np.array(
-            [edge_weight(spec, a, b, dist) for a, b in zip(h1.tolist(), h2.tolist())],
+            [scalar_weight(spec, a, b, dist) for a, b in zip(h1.tolist(), h2.tolist())],
             dtype=np.float64,
         )
         got = edge_weights(spec, h1, h2, dist)
@@ -146,7 +146,7 @@ def test_array_weights_reject_nonpositive_distance(spec):
 def test_array_weights_overflow_to_inf_like_scalar():
     h1, h2 = np.array([1e308]), np.array([-1e308])
     for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
-        assert edge_weights(spec, h1, h2, 1.0).tolist() == [edge_weight(spec, 1e308, -1e308, 1.0)]
+        assert edge_weights(spec, h1, h2, 1.0).tolist() == [scalar_weight(spec, 1e308, -1e308, 1.0)]
         assert edge_weights(spec, h1, h2, 1.0)[0] == math.inf
 
 
