@@ -10,8 +10,8 @@ random terrains.
 
 from slopecover.bench import BenchConfig, reported_trends, run_benchmark
 from slopecover.coverage import circumnavigate, path_cost
-from slopecover.graph import DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.graph import (DisconnectedGridError, average_slope, build_graph,
+                              classical_spanning_tree, minimum_spanning_tree, tree_weight)
 from slopecover.svg import render_svg
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec

@@ -10,8 +10,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from slopecover.graph import average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.graph import (average_slope, build_graph, classical_spanning_tree,
+                              minimum_spanning_tree, tree_weight)
 from slopecover.terrain import TerrainGenerationError, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 

@@ -25,8 +25,8 @@ from slopecover.coverage import (
     save_path,
     validate_path,
 )
-from slopecover.graph import DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.graph import (DisconnectedGridError, average_slope, build_graph,
+                              classical_spanning_tree, minimum_spanning_tree, tree_weight)
 from slopecover.terrain import (
     TerrainGenerationError,
     TerrainGenSpec,

@@ -1,13 +1,17 @@
-"""4-connected graph over the free mega cells, priced per weight spec on demand."""
+"""The 4-connected graph over the free mega cells, priced per weight spec on
+demand, and its spanning trees: the weighted MST and a weight-blind baseline."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from slopecover.terrain import MegaGrid, adjacent_pairs, slope_sum
-from slopecover.weights import WeightSpec, edge_weights
+from slopecover.weights import WeightSpec, edge_weights, total_weight
+
+if TYPE_CHECKING:
+    from slopecover.terrain import MegaGrid
 
 
 class DisconnectedGridError(ValueError):
@@ -43,6 +47,12 @@ class CoverageGraph:
         return edge_weights(spec, node_heights[a], node_heights[b], self.mega.spacing)
 
 
+def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4-adjacent free pairs of a mask: (rows, cols - 1) True where a cell
+    and its right neighbour are free, (rows - 1, cols) where it and the cell below are."""
+    return free[:, :-1] & free[:, 1:], free[:-1, :] & free[1:, :]
+
+
 def build_graph(mega: MegaGrid) -> CoverageGraph:
     """One node per free mega cell, one edge per 4-adjacent free pair.
 
@@ -71,6 +81,64 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     return graph
 
 
+def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Ascending indices k of the minimum spanning forest of the n nodes and
+    edges (a[k], b[k]) under the distinct keys (weights[k], k): the forest
+    stable Kruskal builds. n minus its length is the region count. Weights
+    must not be nan.
+
+    Borůvka rounds: each region takes its least-key edge and hooks to the
+    region at its far end (a mutual pair's lower id is the root); pointer
+    jumping finds the roots and cumsum relabels them.
+    """
+    chosen = np.zeros(len(a), dtype=bool)
+    edge = np.flatnonzero(a != b)  # live edges, ascending; self-loops never join
+    ra, rb, w = a[edge], b[edge], weights[edge]  # their ends' regions and their weights
+    regions = n
+    while len(edge):
+        least = np.full(regions, np.inf)
+        np.minimum.at(least, ra, w)
+        np.minimum.at(least, rb, w)
+        pick = np.full(regions, len(edge))  # lowest live position at that weight; ascending, so lowest k
+        for end in (ra, rb):
+            tied = w == least[end]
+            np.minimum.at(pick, end[tied], np.flatnonzero(tied))
+        region = np.flatnonzero(pick < len(edge))
+        if not len(region):
+            raise ValueError("edge weights must not be nan")
+        j = pick[region]
+        chosen[edge[j]] = True
+        ids = np.arange(regions)
+        parent = ids.copy()
+        parent[region] = ra[j] + rb[j] - region  # the far end's region
+        parent = np.where((parent[parent] == ids) & (ids < parent), ids, parent)  # mutual pairs
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+        root = parent == ids
+        label = (np.cumsum(root) - 1)[parent]
+        regions = int(root.sum())
+        ra, rb = label[ra], label[rb]
+        live = ra != rb
+        edge, ra, rb, w = edge[live], ra[live], rb[live], w[live]
+    return np.flatnonzero(chosen)
+
+
+def region_count(g: CoverageGraph) -> int:
+    """Number of 4-connected regions of free mega cells; 0 when none is free."""
+    n = len(g.nodes)
+    return n - len(spanning_forest(n, g.edges[:, 0], g.edges[:, 1], np.zeros(len(g.edges))))
+
+
+def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:
+    """Sum of |height difference| over 4-adjacent free pairs, and the pair count."""
+    horizontal, vertical = adjacent_pairs(~blocked)
+    count = int(horizontal.sum()) + int(vertical.sum())
+    total = float(np.abs(heights[:, 1:] - heights[:, :-1])[horizontal].sum())
+    total += float(np.abs(heights[1:, :] - heights[:-1, :])[vertical].sum())
+    return total, count
+
+
 def average_slope(mega: MegaGrid) -> float:
     """Mean over adjacent free pairs of |height difference| / horizontal distance.
 
@@ -79,3 +147,66 @@ def average_slope(mega: MegaGrid) -> float:
     """
     total, count = slope_sum(mega.heights, mega.blocked)
     return total / (mega.spacing * count) if count else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class SpanningTree:
+    """Acyclic edge subset connecting all nodes, rooted at node 0.
+
+    edges is a sorted int64 array of indices into graph.edges.
+    """
+
+    graph: CoverageGraph
+    edges: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.edges.setflags(write=False)
+
+
+def minimum_spanning_tree(g: CoverageGraph, weights: np.ndarray) -> SpanningTree:
+    """The minimum spanning tree under weights (graph.weights of some spec),
+    ties broken by edge index: the tree stable Kruskal builds. Raises
+    DisconnectedGridError unless the free cells form exactly one region."""
+    n = len(g.nodes)
+    edges = spanning_forest(n, g.edges[:, 0], g.edges[:, 1], weights)
+    if len(edges) != n - 1:  # each forest edge merged two regions
+        raise DisconnectedGridError(n - len(edges))
+    return SpanningTree(graph=g, edges=edges)
+
+
+def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
+    """Weight-blind spanning tree: depth-first from the root, neighbours tried
+    up, right, down, left. Deterministic representative of the unit-weight
+    approach, where any spanning tree is minimal. Raises DisconnectedGridError
+    unless the free cells form exactly one region."""
+    # pushed reversed so pops explore up, right, down, left
+    incident = g.incident[:, ::-1].tolist()
+    ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
+    n = len(g.nodes)
+    visited = [False] * n
+    chosen: list[int] = []
+    stack: list[tuple[int, int]] = [(0, -1)] if n else []
+    while stack:
+        u, via = stack.pop()
+        if visited[u]:
+            continue
+        visited[u] = True
+        if via >= 0:
+            chosen.append(via)
+        for e in incident[u]:
+            if e >= 0 and not visited[ends[e] - u]:
+                stack.append((ends[e] - u, e))
+    if len(chosen) != n - 1:  # the search missed a region; count them only now
+        raise DisconnectedGridError(region_count(g))
+    return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
+
+
+def tree_weight(tree: SpanningTree, weights: np.ndarray) -> float:
+    """Total of the tree's edges in weights (graph.weights of some spec),
+    summed in canonical edge order.
+
+    The weights need not be the ones the tree was built with; the baseline
+    tree is built weight-blind but costed with slope-aware weights. Raises
+    ValueError when the total is not finite.
+    """
+    return total_weight(weights[tree.edges], "tree_weight")

@@ -1,13 +1,15 @@
-"""Elevation grids: text format, seeded synthetic generation, 2x2 aggregation,
-and the 4-adjacency and spanning forest shared by the generator, graph and spanning trees."""
+"""Elevation grids: text format, seeded synthetic generation and 2x2 aggregation."""
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from slopecover.graph import build_graph, region_count, slope_sum
 
 _GENERATION_ATTEMPTS = 64
 _MASK_FREE = "."
@@ -146,74 +148,6 @@ def blocked_mega_cells(obstacle: np.ndarray) -> np.ndarray:
     return obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
 
 
-def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 4-adjacent free pairs of a mask: (rows, cols - 1) True where a cell
-    and its right neighbour are free, (rows - 1, cols) where it and the cell below are."""
-    return free[:, :-1] & free[:, 1:], free[:-1, :] & free[1:, :]
-
-
-def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Ascending indices k of the minimum spanning forest of the n nodes and
-    edges (a[k], b[k]) under the distinct keys (weights[k], k): the forest
-    stable Kruskal builds. n minus its length is the region count. Weights
-    must not be nan.
-
-    Borůvka rounds: each region takes its least-key edge and hooks to the
-    region at its far end (a mutual pair's lower id is the root); pointer
-    jumping finds the roots and cumsum relabels them.
-    """
-    chosen = np.zeros(len(a), dtype=bool)
-    edge = np.flatnonzero(a != b)  # live edges, ascending; self-loops never join
-    ra, rb, w = a[edge], b[edge], weights[edge]  # their ends' regions and their weights
-    regions = n
-    while len(edge):
-        least = np.full(regions, np.inf)
-        np.minimum.at(least, ra, w)
-        np.minimum.at(least, rb, w)
-        pick = np.full(regions, len(edge))  # lowest live position at that weight; ascending, so lowest k
-        for end in (ra, rb):
-            tied = w == least[end]
-            np.minimum.at(pick, end[tied], np.flatnonzero(tied))
-        region = np.flatnonzero(pick < len(edge))
-        if not len(region):
-            raise ValueError("edge weights must not be nan")
-        j = pick[region]
-        chosen[edge[j]] = True
-        ids = np.arange(regions)
-        parent = ids.copy()
-        parent[region] = ra[j] + rb[j] - region  # the far end's region
-        parent = np.where((parent[parent] == ids) & (ids < parent), ids, parent)  # mutual pairs
-        grand = parent[parent]
-        while not np.array_equal(grand, parent):
-            parent, grand = grand, grand[grand]
-        root = parent == ids
-        label = (np.cumsum(root) - 1)[parent]
-        regions = int(root.sum())
-        ra, rb = label[ra], label[rb]
-        live = ra != rb
-        edge, ra, rb, w = edge[live], ra[live], rb[live], w[live]
-    return np.flatnonzero(chosen)
-
-
-def component_count(mask: np.ndarray) -> int:
-    """Number of 4-connected regions of True cells."""
-    right, down = adjacent_pairs(mask)
-    node = np.cumsum(mask).reshape(mask.shape) - 1  # index of each True cell, row-major
-    a = np.concatenate([node[:, :-1][right], node[:-1, :][down]])
-    b = np.concatenate([node[:, 1:][right], node[1:, :][down]])
-    n = int(mask.sum())
-    return n - len(spanning_forest(n, a, b, np.zeros(len(a))))
-
-
-def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:
-    """Sum of |height difference| over 4-adjacent free pairs, and the pair count."""
-    horizontal, vertical = adjacent_pairs(~blocked)
-    count = int(horizontal.sum()) + int(vertical.sum())
-    total = float(np.abs(heights[:, 1:] - heights[:, :-1])[horizontal].sum())
-    total += float(np.abs(heights[1:, :] - heights[:-1, :])[vertical].sum())
-    return total, count
-
-
 def _height_row(line: str, i: int, cols: int) -> list[float]:
     tokens = line.split()
     if len(tokens) != cols:
@@ -247,14 +181,10 @@ def parse_height_grid(text: str) -> HeightGrid:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     if len(lines) < 1 + rows:
         raise TerrainParseError(f"expected {rows} height rows, found {len(lines) - 1}")
-    if rows * cols > len(text):
-        # each value takes a character, so some row is short: raise its error
-        # before allocating the header's size
-        for i in range(rows):
-            _height_row(lines[1 + i], i, cols)
-    values = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        values[i] = _height_row(lines[1 + i], i, cols)
+    # grows row by row, so a header larger than its text fails at its first
+    # short row without allocating the header's size
+    rows_of_values = (_height_row(lines[1 + i], i, cols) for i in range(rows))
+    values = np.fromiter(itertools.chain.from_iterable(rows_of_values), np.float64)
     obstacle = np.zeros((rows, cols), dtype=bool)
     rest = lines[1 + rows :]
     if rest:
@@ -312,8 +242,9 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     field = _midpoint_displacement(rng, spec.rows, spec.cols)
     for _ in range(_GENERATION_ATTEMPTS):
         obstacle = _place_obstacles(rng, spec.rows, spec.cols, spec.max_obstacles)
-        blocked = blocked_mega_cells(obstacle)
-        if component_count(~blocked) == 1:
+        mega = aggregate(HeightGrid(rows=spec.rows, cols=spec.cols, heights=field,
+                                    obstacle=obstacle, spacing=spec.spacing))
+        if region_count(build_graph(mega)) == 1:
             break
     else:
         raise TerrainGenerationError(
@@ -321,7 +252,17 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
             f"attempts (rows={spec.rows}, cols={spec.cols}, "
             f"max_obstacles={spec.max_obstacles}, seed={spec.seed})"
         )
-    heights = _calibrate_slope(field, blocked, spec)
+    # rescale so the aggregated average slope is spec.roughness; with no free
+    # adjacent pair (a single mega cell) that target is undefined
+    total, count = slope_sum(mega.heights, mega.blocked)
+    if count > 0 and total > 0.0:
+        heights = field * (spec.roughness * mega.spacing * count / total)
+    else:
+        heights = field * spec.roughness
+    if not np.isfinite(heights).all():
+        raise ValueError(
+            f"spacing {spec.spacing!r} with roughness {spec.roughness!r} overflows the heights"
+        )
     return HeightGrid(
         rows=spec.rows, cols=spec.cols, heights=heights, obstacle=obstacle, spacing=spec.spacing
     )
@@ -377,20 +318,3 @@ def _place_obstacles(
         col = int(rng.integers(0, cols - width + 1))
         obstacle[row : row + height, col : col + width] = True
     return obstacle
-
-
-def _calibrate_slope(field: np.ndarray, blocked: np.ndarray, spec: TerrainGenSpec) -> np.ndarray:
-    """Rescale the noise field so the aggregated average slope equals spec.roughness."""
-    half_rows, half_cols = spec.rows // 2, spec.cols // 2
-    mega = field.reshape(half_rows, 2, half_cols, 2).mean(axis=(1, 3))
-    d = 2.0 * spec.spacing
-    total, count = slope_sum(mega, blocked)
-    if count > 0 and total > 0.0:
-        heights = field * (spec.roughness * d * count / total)
-    else:  # no free adjacent pair (single mega cell): slope target is undefined
-        heights = field * spec.roughness
-    if not np.isfinite(heights).all():
-        raise ValueError(
-            f"spacing {spec.spacing!r} with roughness {spec.roughness!r} overflows the heights"
-        )
-    return heights

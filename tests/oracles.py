@@ -13,8 +13,7 @@ from collections import Counter, deque
 import numpy as np
 
 from slopecover.coverage import CoveragePath, PathParseError
-from slopecover.graph import CoverageGraph
-from slopecover.spanning import SpanningTree
+from slopecover.graph import CoverageGraph, SpanningTree
 from slopecover.terrain import HeightGrid, MegaGrid
 from slopecover.weights import WeightSpec
 
@@ -345,3 +344,12 @@ def label_regions(n: int, pairs: list[tuple[int, int]]) -> int:
                 label[a] = label[b] = low
                 changed = True
     return len(set(label))
+
+
+def sacrificed_cells(obstacle: np.ndarray) -> int:
+    """Free fine cells in a 2x2 block that holds an obstacle, counted on the
+    block mask upsampled back to fine cells."""
+    rows, cols = obstacle.shape
+    blocked = obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
+    fine_blocked = blocked.repeat(2, axis=0).repeat(2, axis=1)
+    return int((fine_blocked & ~obstacle).sum())

@@ -13,8 +13,7 @@ from oracles import brute_force_min_spanning_weight, coverage_violations, random
 from slopecover.bench import BenchConfig, run_benchmark, trend_statistics
 from slopecover.cli import main
 from slopecover.coverage import circumnavigate
-from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree, tree_weight
+from slopecover.graph import build_graph, classical_spanning_tree, minimum_spanning_tree, tree_weight
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec, edge_weights
 

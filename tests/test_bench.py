@@ -14,8 +14,7 @@ from slopecover.bench import (
     run_benchmark,
     trend_statistics,
 )
-from slopecover.graph import build_graph
-from slopecover.spanning import SpanningTree, tree_weight
+from slopecover.graph import SpanningTree, build_graph, tree_weight
 from slopecover.terrain import aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 

@@ -14,8 +14,7 @@ import slopecover.bench
 import slopecover.cli
 from slopecover.bench import BenchConfig, run_benchmark
 from slopecover.cli import build_parser, main
-from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree
+from slopecover.graph import build_graph, classical_spanning_tree
 from slopecover.terrain import aggregate, load_height_grid
 from test_golden import TERRAIN_ARGS
 
@@ -236,13 +235,13 @@ def test_region_count_runs_only_in_the_generator(tmp_path, capsys, monkeypatch):
     assert run(["gen-terrain", "--rows", "16", "--cols", "16", "--seed", "3",
                 "--obstacles", "2", "--roughness", "0.3", "-o", str(terrain)], capsys)[0] == 0
 
-    def forbidden(mask):
-        raise AssertionError("component_count called outside the generator")
+    def forbidden(graph):
+        raise AssertionError("region_count called outside the generator")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("slopecover.") and name != "slopecover.terrain":
-            if hasattr(module, "component_count"):
-                monkeypatch.setattr(module, "component_count", forbidden)
+            if hasattr(module, "region_count"):
+                monkeypatch.setattr(module, "region_count", forbidden)
     for method in ("mst", "classical"):
         code, _, err = run(["plan", "--terrain", str(terrain), "--method", method,
                             "-o", str(tmp_path / f"{method}.txt")], capsys)

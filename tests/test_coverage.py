@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coverage_violations, parse_path_lines, scalar_path_cost, tree_crossing_violations
+from oracles import (
+    coverage_violations,
+    parse_path_lines,
+    sacrificed_cells,
+    scalar_path_cost,
+    tree_crossing_violations,
+)
 from slopecover import coverage
 from slopecover.coverage import (
     CoveragePath,
@@ -20,8 +26,7 @@ from slopecover.coverage import (
     path_cost,
     validate_path,
 )
-from slopecover.graph import build_graph
-from slopecover.spanning import SpanningTree, minimum_spanning_tree, tree_weight
+from slopecover.graph import SpanningTree, build_graph, minimum_spanning_tree, tree_weight
 from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
 
@@ -222,6 +227,20 @@ def test_sacrificed_cells_counted():
 def test_no_sacrifice_without_obstacles():
     grid = HeightGrid(rows=4, cols=4, heights=np.zeros(16), obstacle=np.zeros(16, bool), spacing=1.0)
     assert count_sacrificed_cells(grid) == 0
+
+
+@settings(max_examples=300)
+@given(
+    half_rows=st.integers(min_value=1, max_value=8),
+    half_cols=st.integers(min_value=1, max_value=8),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_sacrificed_cells_match_upsampled_oracle(half_rows, half_cols, density, seed):
+    rows, cols = 2 * half_rows, 2 * half_cols
+    obstacle = np.random.default_rng(seed).random((rows, cols)) < density
+    grid = HeightGrid(rows=rows, cols=cols, heights=np.zeros(rows * cols), obstacle=obstacle, spacing=1.0)
+    assert count_sacrificed_cells(grid) == sacrificed_cells(obstacle)
 
 
 class TestPathFiles:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_edges, flood_fill_regions, scalar_weight
-from slopecover.graph import CoverageGraph, DisconnectedGridError, average_slope, build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree
+from slopecover import graph as graph_mod
+from slopecover.graph import (
+    CoverageGraph,
+    DisconnectedGridError,
+    average_slope,
+    build_graph,
+    classical_spanning_tree,
+    minimum_spanning_tree,
+)
 from slopecover.terrain import MegaGrid
 from slopecover.weights import WeightSpec
 
@@ -211,3 +220,21 @@ class TestAverageSlope:
         scaled = average_slope(mega(heights * scale))
         assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
         assert scaled == pytest.approx(scale * base, rel=1e-9, abs=1e-12)
+
+
+def test_graph_imports_only_weights_at_runtime():
+    # terrain imports graph, so graph may name MegaGrid only for annotations
+    def runtime_imports(nodes):
+        for node in nodes:
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+                yield from runtime_imports(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                yield from (alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield node.module or ""
+            yield from runtime_imports(ast.iter_child_nodes(node))
+
+    tree = ast.parse(Path(graph_mod.__file__).read_text(encoding="utf-8"))
+    imported = {name for name in runtime_imports(tree.body) if name.split(".")[0] == "slopecover"}
+    assert imported == {"slopecover.weights"}

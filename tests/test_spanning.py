@@ -13,9 +13,11 @@ from oracles import (
     scalar_weight,
     stable_weight_kruskal,
 )
-from slopecover.graph import CoverageGraph, DisconnectedGridError, build_graph
-from slopecover.spanning import (
+from slopecover.graph import (
+    CoverageGraph,
+    DisconnectedGridError,
     SpanningTree,
+    build_graph,
     classical_spanning_tree,
     minimum_spanning_tree,
     tree_weight,

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import render_svg_per_cell, route_crossings
 from slopecover.coverage import CoveragePath, circumnavigate
-from slopecover.graph import build_graph
-from slopecover.spanning import classical_spanning_tree, minimum_spanning_tree
+from slopecover.graph import build_graph, classical_spanning_tree, minimum_spanning_tree
 from slopecover.svg import render_svg
 from slopecover.terrain import (
     HeightGrid,

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import flood_fill_regions, label_regions, parse_mask_rows
-from slopecover.graph import average_slope
+from slopecover.graph import average_slope, build_graph, region_count, spanning_forest
 from slopecover.terrain import (
     HeightGrid,
     MegaGrid,
@@ -16,11 +16,9 @@ from slopecover.terrain import (
     TerrainGenerationError,
     TerrainParseError,
     aggregate,
-    component_count,
     format_height_grid,
     generate_terrain,
     parse_height_grid,
-    spanning_forest,
 )
 
 
@@ -285,6 +283,13 @@ class TestAggregate:
                 assert block.min() <= mega.heights[mr, mc] <= block.max()
 
 
+def regions(mask: np.ndarray) -> int:
+    """region_count of the planner's graph over a mask of free mega cells."""
+    mega = MegaGrid(rows=mask.shape[0], cols=mask.shape[1], heights=np.zeros(mask.shape),
+                    blocked=~mask, spacing=1.0)
+    return region_count(build_graph(mega))
+
+
 class TestRegionCount:
     @settings(max_examples=300)
     @given(
@@ -293,20 +298,20 @@ class TestRegionCount:
         density=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_component_count_matches_flood_fill(self, rows, cols, density, seed):
+    def test_region_count_matches_flood_fill(self, rows, cols, density, seed):
         mask = np.random.default_rng(seed).random((rows, cols)) < density
-        assert component_count(mask) == flood_fill_regions(mask)
+        assert regions(mask) == flood_fill_regions(mask)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 12), (12, 1), (12, 12), (5, 7)])
     @pytest.mark.parametrize("free", [True, False])
     def test_uniform_masks(self, shape, free):
         mask = np.full(shape, free)
-        assert component_count(mask) == flood_fill_regions(mask) == int(free)
+        assert regions(mask) == flood_fill_regions(mask) == int(free)
 
-    @pytest.mark.parametrize("line, regions", [("#.#..#.", 3), ("..##...#", 2)])
-    def test_single_row_and_column(self, line, regions):
+    @pytest.mark.parametrize("line, count", [("#.#..#.", 3), ("..##...#", 2)])
+    def test_single_row_and_column(self, line, count):
         mask = np.array([[ch == "." for ch in line]])
-        assert component_count(mask) == component_count(mask.T) == regions
+        assert regions(mask) == regions(mask.T) == count
 
     @settings(max_examples=300)
     @given(n=st.integers(min_value=0, max_value=12), data=st.data())
