@@ -221,8 +221,6 @@ def _bench_config_from_args(args: argparse.Namespace) -> bench_mod.BenchConfig:
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         cfg = _bench_config_from_args(args)
-    except OSError as exc:
-        return _fail(EXIT_IO, str(exc))
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"invalid benchmark config: {exc}")
     records = bench_mod.run_benchmark(cfg)

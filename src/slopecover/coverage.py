@@ -39,7 +39,7 @@ class CoveragePath:
         integer = cells.dtype != bool and np.can_cast(cells.dtype, np.int64)  # can_cast passes bool
         if cells.ndim != 2 or cells.shape[1] != 2 or not integer:
             raise ValueError(f"cells must be (L, 2) integers, got {cells.dtype} {cells.shape}")
-        cells = cells.astype(np.int64)
+        cells = cells.astype(np.int64, copy=False)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 

@@ -273,31 +273,23 @@ def _midpoint_displacement(rng: np.random.Generator, rows: int, cols: int) -> np
     size = 1
     while size < max(rows, cols):
         size *= 2
-    n = size + 1
-    field = np.zeros((n, n), dtype=np.float64)
+    field = np.zeros((size + 1, size + 1), dtype=np.float64)
     field[::size, ::size] = rng.standard_normal((2, 2))
     step, scale = size, 1.0
     while step > 1:
         half = step // 2
-        top_left = field[0 : n - 1 : step, 0 : n - 1 : step]
-        top_right = field[0 : n - 1 : step, step::step]
-        bottom_left = field[step::step, 0 : n - 1 : step]
-        bottom_right = field[step::step, step::step]
-        field[half::step, half::step] = (
-            top_left + top_right + bottom_left + bottom_right
-        ) / 4.0 + scale * rng.standard_normal(top_left.shape)
-        for row0, col0 in ((0, half), (half, 0)):
-            grid_r, grid_c = np.meshgrid(
-                np.arange(row0, n, step), np.arange(col0, n, step), indexing="ij"
-            )
-            total = np.zeros(grid_r.shape, dtype=np.float64)
-            count = np.zeros(grid_r.shape, dtype=np.float64)
-            for dr, dc in ((-half, 0), (half, 0), (0, -half), (0, half)):
-                nr, nc = grid_r + dr, grid_c + dc
-                ok = (nr >= 0) & (nr < n) & (nc >= 0) & (nc < n)
-                total[ok] += field[nr[ok], nc[ok]]
-                count[ok] += 1
-            field[grid_r, grid_c] = total / count + scale * rng.standard_normal(grid_r.shape)
+        # diamond then square, in half steps; off-lattice neighbours read nan: they add 0 and count 0
+        for origins, offsets in (([(1, 1)], [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+                                 ([(0, 1), (1, 0)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
+            lattice = np.pad(field[::half, ::half], 1, constant_values=np.nan)
+            for r0, c0 in origins:
+                points = field[r0 * half :: step, c0 * half :: step]
+                total, count = np.zeros(points.shape), np.zeros(points.shape)
+                for dr, dc in offsets:
+                    near = lattice[1 + r0 + dr :: 2, 1 + c0 + dc :: 2][: len(points), : points.shape[1]]
+                    total += np.nan_to_num(near)
+                    count += np.isfinite(near)
+                points[...] = total / count + scale * rng.standard_normal(points.shape)
         scale *= 0.5
         step = half
     return field[:rows, :cols].copy()

@@ -74,5 +74,6 @@ def total_weight(weights: np.ndarray, name: str) -> float:
     with np.errstate(over="ignore"):  # an overflow is reported below
         total = float(np.add.accumulate(weights)[-1]) if len(weights) else 0.0
     if not math.isfinite(total):
-        raise ValueError(f"{name} is not finite ({total}): the height differences are too large")
+        raise ValueError(f"{name} is not finite ({total}): a weight or the sum overflows, "
+                         "from height differences or from the spacing")
     return total

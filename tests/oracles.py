@@ -119,6 +119,20 @@ def enumerate_edges(mega: MegaGrid) -> tuple[list[tuple[int, int]], list[tuple[i
     return cells, pairs
 
 
+def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
+    """MegaGrid of a height table, all free unless blocked is given."""
+    heights = np.asarray(heights, dtype=float)
+    if blocked is None:
+        blocked = np.zeros(heights.shape, dtype=bool)
+    return MegaGrid(
+        rows=heights.shape[0],
+        cols=heights.shape[1],
+        heights=heights,
+        blocked=blocked,
+        spacing=spacing,
+    )
+
+
 def random_connected_mega(
     rng: np.random.Generator, max_nodes: int = 8
 ) -> MegaGrid:
@@ -353,3 +367,42 @@ def sacrificed_cells(obstacle: np.ndarray) -> int:
     blocked = obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
     fine_blocked = blocked.repeat(2, axis=0).repeat(2, axis=1)
     return int((fine_blocked & ~obstacle).sum())
+
+
+def midpoint_displacement(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Diamond-square field on a (2^k + 1) lattice, cropped to rows x cols, with
+    each step written out on its own: the diamond step from four named corner
+    slices, the square step from coordinate arrays, per-direction bounds masks
+    and fancy-index gathers. The bit-for-bit reference for
+    terrain._midpoint_displacement: same sums in the same order, same draws."""
+    size = 1
+    while size < max(rows, cols):
+        size *= 2
+    n = size + 1
+    field = np.zeros((n, n), dtype=np.float64)
+    field[::size, ::size] = rng.standard_normal((2, 2))
+    step, scale = size, 1.0
+    while step > 1:
+        half = step // 2
+        top_left = field[0 : n - 1 : step, 0 : n - 1 : step]
+        top_right = field[0 : n - 1 : step, step::step]
+        bottom_left = field[step::step, 0 : n - 1 : step]
+        bottom_right = field[step::step, step::step]
+        field[half::step, half::step] = (
+            top_left + top_right + bottom_left + bottom_right
+        ) / 4.0 + scale * rng.standard_normal(top_left.shape)
+        for row0, col0 in ((0, half), (half, 0)):
+            grid_r, grid_c = np.meshgrid(
+                np.arange(row0, n, step), np.arange(col0, n, step), indexing="ij"
+            )
+            total = np.zeros(grid_r.shape, dtype=np.float64)
+            count = np.zeros(grid_r.shape, dtype=np.float64)
+            for dr, dc in ((-half, 0), (half, 0), (0, -half), (0, half)):
+                nr, nc = grid_r + dr, grid_c + dc
+                ok = (nr >= 0) & (nr < n) & (nc >= 0) & (nc < n)
+                total[ok] += field[nr[ok], nc[ok]]
+                count[ok] += 1
+            field[grid_r, grid_c] = total / count + scale * rng.standard_normal(grid_r.shape)
+        scale *= 0.5
+        step = half
+    return field[:rows, :cols].copy()

@@ -360,8 +360,18 @@ class TestBench:
         assert "unknown key" in err
 
     def test_missing_config_file_exit_3(self, tmp_path, capsys):
-        code, _, _ = run(["bench", "--config", str(tmp_path / "none.cfg")], capsys)
+        code, _, err = run(["bench", "--config", str(tmp_path / "none.cfg")], capsys)
         assert code == 3
+        assert err.startswith("error: ") and str(tmp_path / "none.cfg") in err
+
+    def test_overflow_from_spacing_is_named(self, capsys):
+        # flat terrain: no height difference, but the mega spacing is 1e308,
+        # so the sum of the pythagoras tree's 1e308 weights overflows
+        code, out, err = run(["bench", "--terrains", "3", "--rows", "8", "--cols", "8",
+                              "--obstacles", "0", "--spacing", "5e307",
+                              "--roughness-min", "0", "--roughness-max", "0"], capsys)
+        assert (code, out) == (3, "")
+        assert "tree_weight is not finite" in err and "spacing" in err
 
     def test_single_mega_cell_terrain_is_flat(self, capsys):
         # on 4x4 terrains 0 and 2 the obstacles leave one free mega cell: no

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     coverage_violations,
+    mega,
     parse_path_lines,
     sacrificed_cells,
     scalar_path_cost,
@@ -29,19 +30,6 @@ from slopecover.coverage import (
 from slopecover.graph import SpanningTree, build_graph, minimum_spanning_tree, tree_weight
 from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
-
-
-def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
-    heights = np.asarray(heights, dtype=float)
-    if blocked is None:
-        blocked = np.zeros(heights.shape, dtype=bool)
-    return MegaGrid(
-        rows=heights.shape[0],
-        cols=heights.shape[1],
-        heights=heights,
-        blocked=blocked,
-        spacing=spacing,
-    )
 
 
 def tree_for(m: MegaGrid):
@@ -215,6 +203,10 @@ def test_path_cells_are_read_only_int64_pairs():
             CoveragePath(cells=bad)
     route = circumnavigate(tree_for(mega([[0.0, 1.0]])))
     assert route.cells.dtype == np.int64 and not route.cells.flags.writeable
+    cells = np.array([[0, 0], [0, 1]], dtype=np.int64)  # already the stored dtype: still copied
+    stored = CoveragePath(cells=cells).cells
+    assert not stored.flags.writeable and cells.flags.writeable
+    assert not np.shares_memory(stored, cells)
 
 
 def test_sacrificed_cells_counted():

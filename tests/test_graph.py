@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerate_edges, flood_fill_regions, scalar_weight
+from oracles import enumerate_edges, flood_fill_regions, mega, scalar_weight
 from slopecover import graph as graph_mod
 from slopecover.graph import (
     CoverageGraph,
@@ -19,21 +19,7 @@ from slopecover.graph import (
     classical_spanning_tree,
     minimum_spanning_tree,
 )
-from slopecover.terrain import MegaGrid
 from slopecover.weights import WeightSpec
-
-
-def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
-    heights = np.asarray(heights, dtype=float)
-    if blocked is None:
-        blocked = np.zeros(heights.shape, dtype=bool)
-    return MegaGrid(
-        rows=heights.shape[0],
-        cols=heights.shape[1],
-        heights=heights,
-        blocked=blocked,
-        spacing=spacing,
-    )
 
 
 def test_two_free_cells_single_edge():

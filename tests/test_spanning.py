@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_min_spanning_weight,
     flood_fill_regions,
+    mega,
     random_connected_mega,
     random_weight_spec,
     scalar_weight,
@@ -22,21 +23,8 @@ from slopecover.graph import (
     minimum_spanning_tree,
     tree_weight,
 )
-from slopecover.terrain import MegaGrid, TerrainGenSpec, aggregate, generate_terrain
+from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
 from slopecover.weights import WeightSpec
-
-
-def mega(heights, blocked=None, spacing=2.0) -> MegaGrid:
-    heights = np.asarray(heights, dtype=float)
-    if blocked is None:
-        blocked = np.zeros(heights.shape, dtype=bool)
-    return MegaGrid(
-        rows=heights.shape[0],
-        cols=heights.shape[1],
-        heights=heights,
-        blocked=blocked,
-        spacing=spacing,
-    )
 
 
 def mst(g: CoverageGraph, spec: WeightSpec) -> SpanningTree:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_fill_regions, label_regions, parse_mask_rows
+from oracles import flood_fill_regions, label_regions, midpoint_displacement, parse_mask_rows
 from slopecover.graph import average_slope, build_graph, region_count, spanning_forest
 from slopecover.terrain import (
     HeightGrid,
@@ -15,6 +15,7 @@ from slopecover.terrain import (
     TerrainGenSpec,
     TerrainGenerationError,
     TerrainParseError,
+    _midpoint_displacement,
     aggregate,
     format_height_grid,
     generate_terrain,
@@ -341,6 +342,14 @@ class TestGenerate:
         a = generate_terrain(spec)
         b = generate_terrain(spec)
         assert format_height_grid(a) == format_height_grid(b)
+
+    @settings(max_examples=200)
+    @given(half_rows=st.integers(1, 65), half_cols=st.integers(1, 65), seed=st.integers(min_value=0))
+    def test_noise_field_bits_match_reference(self, half_rows, half_cols, seed):
+        rows, cols = 2 * half_rows, 2 * half_cols
+        field = _midpoint_displacement(np.random.default_rng(seed), rows, cols)
+        expected = midpoint_displacement(np.random.default_rng(seed), rows, cols)
+        assert field.shape == expected.shape and field.tobytes() == expected.tobytes()
 
     def test_full_scale_connected_and_bounded_obstacles(self):
         spec = TerrainGenSpec(rows=250, cols=250, seed=1, max_obstacles=30, roughness=0.5)
