@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -17,7 +17,8 @@ from slopecover.weights import WeightSpec
 
 CSV_HEADER = "terrain,seed,avg_slope,spec,classical_weight,mst_weight,gap,gap_ratio"
 MIN_TREND_RECORDS = 3  # fewest records per spec a rank correlation is computed from
-_INT_FIELDS = ("terrains", "rows", "cols", "obstacles", "seed")
+_NUMBERS = {k: (Integral, int, "an integer") for k in ("terrains", "rows", "cols", "obstacles", "seed")}
+_NUMBERS |= {k: (Real, float, "a real number") for k in ("roughness_min", "roughness_max", "spacing")}
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,11 @@ class BenchConfig:
     spacing: float = 1.0
 
     def __post_init__(self) -> None:
-        for key in _INT_FIELDS:
+        for key, (kind, convert, noun) in _NUMBERS.items():
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise TypeError(f"{key} must be an integer, got {value!r}")
-            object.__setattr__(self, key, int(value))
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"{key} must be {noun}, got {value!r}")
+            object.__setattr__(self, key, convert(value))
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.terrains < 1:
             raise ValueError(f"terrain count must be at least 1, got {self.terrains}")

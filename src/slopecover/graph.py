@@ -53,6 +53,16 @@ def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return free[:, :-1] & free[:, 1:], free[:-1, :] & free[1:, :]
 
 
+def _free_edges(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A mask's 4-adjacent free pairs as (E, 2) row-major node numbers a < b, enumerated
+    row-major, right then down, and each pair's down flag (0: right, 1: down)."""
+    node = np.cumsum(free) - 1
+    pairs = np.zeros((*free.shape, 2), dtype=bool)
+    pairs[:, :-1, 0], pairs[:-1, :, 1] = adjacent_pairs(free)
+    cell, down = np.divmod(np.flatnonzero(pairs), 2)
+    return np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1), down
+
+
 def build_graph(mega: MegaGrid) -> CoverageGraph:
     """One node per free mega cell, one edge per 4-adjacent free pair.
 
@@ -62,19 +72,12 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     builders raise DisconnectedGridError unless the free cells form one region.
     """
     free = ~mega.blocked
-    # slot k of cell (r, c) holds its up, right, down or left edge, or -1; the
-    # row-major order of the right and down slots is the canonical edge order
-    has_edge = np.zeros((mega.rows, mega.cols, 4), dtype=bool)
-    has_edge[:, :-1, 1], has_edge[:-1, :, 2] = adjacent_pairs(free)
-    incident = np.full(has_edge.shape, -1, dtype=np.int64)
-    incident[has_edge] = np.arange(int(has_edge.sum()))
-    incident[1:, :, 0] = incident[:-1, :, 2]  # up: the down edge of the cell above
-    incident[:, 1:, 3] = incident[:, :-1, 1]  # left: the right edge of the cell to the left
-    incident = incident[free]
-    # each edge sits at both ends: right or down of its first node, up or left of its second
-    node, slot = np.nonzero(incident >= 0)
-    edges = np.empty((len(node) // 2, 2), dtype=np.int64)
-    edges[incident[node, slot], np.array([1, 0, 0, 1])[slot]] = node
+    edges, down = _free_edges(free)
+    incident = np.full((np.count_nonzero(free), 4), -1, dtype=np.int64)
+    # right edge: its first node's right slot (1), its second's left (3); down: down (2), up (0)
+    k = np.arange(len(edges))
+    incident[edges[:, 0], 1 + down] = k
+    incident[edges[:, 1], 3 - 3 * down] = k
     graph = CoverageGraph(mega=mega, nodes=np.argwhere(free), edges=edges, incident=incident)
     for array in (graph.nodes, graph.edges, graph.incident):
         array.setflags(write=False)
@@ -124,10 +127,11 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
     return np.flatnonzero(chosen)
 
 
-def region_count(g: CoverageGraph) -> int:
-    """Number of 4-connected regions of free mega cells; 0 when none is free."""
-    n = len(g.nodes)
-    return n - len(spanning_forest(n, g.edges[:, 0], g.edges[:, 1], np.zeros(len(g.edges))))
+def region_count(blocked: np.ndarray) -> int:
+    """Number of 4-connected regions of a mega blocked mask's free cells; 0 when none is."""
+    edges, _ = _free_edges(~blocked)
+    n = blocked.size - np.count_nonzero(blocked)
+    return n - len(spanning_forest(n, edges[:, 0], edges[:, 1], np.zeros(len(edges))))
 
 
 def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:
@@ -197,7 +201,7 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
             if e >= 0 and not visited[ends[e] - u]:
                 stack.append((ends[e] - u, e))
     if len(chosen) != n - 1:  # the search missed a region; count them only now
-        raise DisconnectedGridError(region_count(g))
+        raise DisconnectedGridError(region_count(g.mega.blocked))
     return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
 
 

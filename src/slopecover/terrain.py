@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from slopecover.graph import build_graph, region_count, slope_sum
+from slopecover.graph import region_count, slope_sum
 
 _GENERATION_ATTEMPTS = 64
 _MASK_FREE = "."
@@ -242,9 +242,7 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     field = _midpoint_displacement(rng, spec.rows, spec.cols)
     for _ in range(_GENERATION_ATTEMPTS):
         obstacle = _place_obstacles(rng, spec.rows, spec.cols, spec.max_obstacles)
-        mega = aggregate(HeightGrid(rows=spec.rows, cols=spec.cols, heights=field,
-                                    obstacle=obstacle, spacing=spec.spacing))
-        if region_count(build_graph(mega)) == 1:
+        if region_count(blocked_mega_cells(obstacle)) == 1:
             break
     else:
         raise TerrainGenerationError(
@@ -254,6 +252,8 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
         )
     # rescale so the aggregated average slope is spec.roughness; with no free
     # adjacent pair (a single mega cell) that target is undefined
+    mega = aggregate(HeightGrid(rows=spec.rows, cols=spec.cols, heights=field,
+                                obstacle=obstacle, spacing=spec.spacing))
     total, count = slope_sum(mega.heights, mega.blocked)
     if count > 0 and total > 0.0:
         heights = field * (spec.roughness * mega.spacing * count / total)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import stable_weight_kruskal
 from slopecover import bench as bench_mod
+from slopecover import graph as graph_mod
 from slopecover.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -75,6 +76,17 @@ class TestConfig:
         with pytest.raises(TypeError, match=f"^{key} must be an integer, got {value!r}$"):
             small_config(**{key: value})
 
+    @pytest.mark.parametrize("key", ["roughness_min", "roughness_max", "spacing"])
+    @pytest.mark.parametrize("value", [True, False, "0.1", "2", None, 1j])
+    def test_real_keys_reject_other_types(self, key, value):
+        with pytest.raises(TypeError, match=f"^{key} must be a real number, got {value!r}$"):
+            small_config(**{key: value})
+
+    def test_real_keys_accept_integers_and_numpy_floats(self):
+        cfg = small_config(roughness_min=np.float32(0.25), roughness_max=1, spacing=np.int64(2))
+        assert (cfg.roughness_min, cfg.roughness_max, cfg.spacing) == (0.25, 1.0, 2.0)
+        assert all(type(value) is float for value in (cfg.roughness_min, cfg.roughness_max, cfg.spacing))
+
     @pytest.mark.parametrize("weights, bad", [(("pythagoras",), "'pythagoras'"),
                                               ((WeightSpec.UNIT, 1), "1"), ((None,), "None")])
     def test_weights_reject_other_types(self, weights, bad):
@@ -89,16 +101,19 @@ class TestConfig:
 
 class TestRun:
     def test_graph_and_baseline_built_once_per_terrain(self, monkeypatch):
-        calls = {"build_graph": 0, "classical_spanning_tree": 0}
-        for name in calls:
-            def counting(*args, _build=getattr(bench_mod, name), _name=name):
+        # CoverageGraph counts every graph made anywhere, the generator's included
+        sites = {"build_graph": bench_mod, "classical_spanning_tree": bench_mod,
+                 "CoverageGraph": graph_mod}
+        calls = dict.fromkeys(sites, 0)
+        for name, module in sites.items():
+            def counting(*args, _build=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _build(*args)
+                return _build(*args, **kwargs)
 
-            monkeypatch.setattr(bench_mod, name, counting)
+            monkeypatch.setattr(module, name, counting)
         cfg = small_config(terrains=3, weights=tuple(WeightSpec))
         assert len(run_benchmark(cfg)) == 3 * len(WeightSpec)
-        assert calls == {"build_graph": 3, "classical_spanning_tree": 3}
+        assert calls == {"build_graph": 3, "classical_spanning_tree": 3, "CoverageGraph": 3}
 
     def test_each_spec_gets_its_own_kruskal_tree(self):
         """Specs share a tree only when their Kruskal orders are equal: unit

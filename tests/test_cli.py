@@ -235,7 +235,7 @@ def test_region_count_runs_only_in_the_generator(tmp_path, capsys, monkeypatch):
     assert run(["gen-terrain", "--rows", "16", "--cols", "16", "--seed", "3",
                 "--obstacles", "2", "--roughness", "0.3", "-o", str(terrain)], capsys)[0] == 0
 
-    def forbidden(graph):
+    def forbidden(blocked):
         raise AssertionError("region_count called outside the generator")
 
     for name, module in list(sys.modules.items()):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     coverage_violations,
+    flood_fill_regions,
     mega,
     parse_path_lines,
     sacrificed_cells,
@@ -27,8 +28,10 @@ from slopecover.coverage import (
     path_cost,
     validate_path,
 )
-from slopecover.graph import SpanningTree, build_graph, minimum_spanning_tree, tree_weight
-from slopecover.terrain import HeightGrid, MegaGrid, TerrainGenSpec, aggregate, generate_terrain
+from slopecover.graph import (SpanningTree, build_graph, classical_spanning_tree, minimum_spanning_tree,
+                              tree_weight)
+from slopecover.terrain import (HeightGrid, MegaGrid, TerrainGenSpec, aggregate, blocked_mega_cells,
+                               generate_terrain)
 from slopecover.weights import WeightSpec
 
 
@@ -103,6 +106,35 @@ def test_invariants_on_random_terrains():
         assert tree_crossing_violations(path, tree) == []
         assert len(path.cells) == 4 * int((~m.blocked).sum())
         validate_path(path, grid)  # the library's own checker agrees
+
+
+@settings(max_examples=200)
+@given(
+    rows=st.integers(min_value=1, max_value=10),
+    cols=st.integers(min_value=1, max_value=10),
+    density=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    spec=st.sampled_from(list(WeightSpec)),
+)
+def test_invariants_on_random_blocked_masks(rows, cols, density, seed, spec):
+    """Any one-region mega mask, with the corridors, holes and one-cell necks
+    the rectangle generator rarely draws, under both tree builders."""
+    rng = np.random.default_rng(seed)
+    blocked = rng.random((rows, cols)) < density
+    assume(flood_fill_regions(~blocked) == 1)
+    # each blocked mega cell holds a nonempty random subset of its 2x2 fine cells
+    quads = ((rng.integers(1, 16, blocked.shape)[:, :, None] >> np.arange(4)) & 1).astype(bool)
+    quads &= blocked[:, :, None]
+    obstacle = quads.reshape(rows, cols, 2, 2).transpose(0, 2, 1, 3).reshape(2 * rows, 2 * cols)
+    assert np.array_equal(blocked_mega_cells(obstacle), blocked)
+    grid = HeightGrid(rows=2 * rows, cols=2 * cols, heights=rng.normal(0.0, 2.0, obstacle.shape),
+                      obstacle=obstacle, spacing=1.0)
+    g = build_graph(aggregate(grid))
+    for tree in (minimum_spanning_tree(g, g.weights(spec)), classical_spanning_tree(g)):
+        path = circumnavigate(tree)
+        assert coverage_violations(path, grid) == []
+        assert tree_crossing_violations(path, tree) == []
+        validate_path(path, grid)
 
 
 @pytest.mark.parametrize("edges", [[], [0], [0, 1, 2, 3]])

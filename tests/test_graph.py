@@ -145,13 +145,15 @@ def test_arrays_read_only():
 @settings(max_examples=200)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    rows=st.integers(min_value=1, max_value=6),
-    cols=st.integers(min_value=1, max_value=6),
+    rows=st.integers(min_value=1, max_value=12),
+    cols=st.integers(min_value=1, max_value=12),
+    density=st.floats(min_value=0.0, max_value=1.0),
     spec=st.sampled_from(list(WeightSpec)),
 )
-def test_arrays_match_independent_enumeration(seed, rows, cols, spec):
+def test_arrays_match_independent_enumeration(seed, rows, cols, density, spec):
+    # density 0 and 1 give the empty and full masks, rows or cols 1 the single lines
     rng = np.random.default_rng(seed)
-    blocked = rng.random((rows, cols)) < 0.3
+    blocked = rng.random((rows, cols)) < density
     m = mega(rng.normal(0.0, 3.0, (rows, cols)), blocked, spacing=float(rng.uniform(0.5, 3.0)))
     g = build_graph(m)
     cells, pairs = enumerate_edges(m)

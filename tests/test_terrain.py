@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import flood_fill_regions, label_regions, midpoint_displacement, parse_mask_rows
-from slopecover.graph import average_slope, build_graph, region_count, spanning_forest
+from slopecover.graph import average_slope, region_count, spanning_forest
 from slopecover.terrain import (
     HeightGrid,
     MegaGrid,
@@ -285,10 +285,8 @@ class TestAggregate:
 
 
 def regions(mask: np.ndarray) -> int:
-    """region_count of the planner's graph over a mask of free mega cells."""
-    mega = MegaGrid(rows=mask.shape[0], cols=mask.shape[1], heights=np.zeros(mask.shape),
-                    blocked=~mask, spacing=1.0)
-    return region_count(build_graph(mega))
+    """region_count of the blocked mask whose free mega cells are mask."""
+    return region_count(~mask)
 
 
 class TestRegionCount:
