@@ -2,6 +2,7 @@
 """Run the benchmark three times and save the medians as BENCH_<LABEL>.json.
 
     python scripts/bench_snapshot.py LABEL
+    python scripts/bench_snapshot.py LABEL --against DIR OTHER --runs 10
 
 Run it from the root of a checkout. Each run is one
 `perfbench/run.py --workload W --seed 42 --seconds 20 --trace 0`, the
@@ -10,6 +11,12 @@ holds, per workload, the median and the runs of each end-to-end metric, with
 the git SHA (and whether the tree had uncommitted changes), `nproc`, the
 `src/` line count and the size of `slopecover.__all__`, so that two
 snapshots compare speed and size together.
+
+With `--against DIR OTHER` the checkout at DIR is measured too, and its
+snapshot is saved here as BENCH_<OTHER>.json. Each workload's runs of the
+two checkouts alternate, this one first in even rounds and DIR first in odd
+ones, so that both see the same phases of the machine and run k of one
+pairs with run k of the other.
 """
 
 from __future__ import annotations
@@ -30,17 +37,18 @@ SEED = 42
 SECONDS = 20
 
 
-def run_perfbench(workload: str) -> dict:
-    """One untraced perfbench run: its final JSON line."""
+def run_perfbench(workload: str, root: Path) -> dict:
+    """One untraced perfbench run in the checkout at root: its final JSON line."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
                "--seconds", str(SECONDS), "--trace", "0"]
-    done = subprocess.run(command, capture_output=True, text=True, check=True)
+    done = subprocess.run(command, cwd=root, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def git(*args: str) -> str | None:
+def git(root: Path, *args: str) -> str | None:
     try:
-        done = subprocess.run(["git", *args], capture_output=True, text=True, timeout=10)
+        done = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                              timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return None
     return done.stdout.strip() if done.returncode == 0 else None
@@ -56,26 +64,35 @@ def source_size(root: Path) -> tuple[int, int | None]:
     return lines, len(names[-1].elts) if names else None
 
 
-def snapshot(label: str, run: Callable[[str], dict]) -> dict:
-    samples: dict[str, list[dict]] = {name: [] for name in WORKLOADS}
-    for _ in range(RUNS):
+def measure(roots: list[Path], runs: int, run: Callable[[str, Path], dict]) -> list[dict[str, list[dict]]]:
+    """Per root, per workload, the metrics of each run. In round k every
+    workload runs once in every root, in the order of roots when k is even
+    and in the reverse order when k is odd."""
+    samples: list[dict[str, list[dict]]] = [{name: [] for name in WORKLOADS} for _ in roots]
+    for k in range(runs):
         for name in WORKLOADS:
-            result = run(name)
-            if not result["correct"]:
-                raise RuntimeError(f"{name}: {result['failed']} of {result['attempted']} commands failed")
-            samples[name].append(result["metrics"])
-    lines, exported = source_size(Path.cwd())
-    status = git("status", "--porcelain", "--untracked-files=no")
+            for side in (range(len(roots)) if k % 2 == 0 else reversed(range(len(roots)))):
+                result = run(name, roots[side])
+                if not result["correct"]:
+                    raise RuntimeError(f"{name}: {result['failed']} of {result['attempted']} "
+                                       f"commands failed in {roots[side]}")
+                samples[side][name].append(result["metrics"])
+    return samples
+
+
+def snapshot(label: str, root: Path, runs: int, samples: dict[str, list[dict]]) -> dict:
+    lines, exported = source_size(root)
+    status = git(root, "status", "--porcelain", "--untracked-files=no")
     return {
         "label": label,
-        "git_sha": git("rev-parse", "HEAD"),
+        "git_sha": git(root, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(status) if status is not None else None,
         "nproc": os.cpu_count(),
         "src_lines": lines,
         "all_size": exported,
         "seed": SEED,
         "seconds": SECONDS,
-        "runs": RUNS,
+        "runs": runs,
         "workloads": {
             name: {
                 key: {
@@ -90,16 +107,28 @@ def snapshot(label: str, run: Callable[[str], dict]) -> dict:
     }
 
 
-def main(argv: list[str] | None = None, run: Callable[[str], dict] = run_perfbench) -> int:
+def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_perfbench) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<LABEL>.json")
+    parser.add_argument("--against", nargs=2, metavar=("DIR", "OTHER"),
+                        help="also measure the checkout at DIR, alternating, into BENCH_<OTHER>.json")
+    parser.add_argument("--runs", type=int, default=RUNS, help=f"runs per workload and checkout "
+                        f"(default {RUNS})")
     args = parser.parse_args(argv)
-    if not Path("perfbench/run.py").is_file():
-        parser.error("run from the root of a checkout (no perfbench/run.py here)")
-    record = snapshot(args.label, run)
-    out = Path(f"BENCH_{args.label}.json")
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {out}")
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, got {args.runs}")
+    checkouts = [(args.label, Path.cwd())]
+    if args.against:
+        checkouts.append((args.against[1], Path(args.against[0]).resolve()))
+    for _, root in checkouts:
+        if not (root / "perfbench/run.py").is_file():
+            parser.error(f"{root} is not the root of a checkout (no perfbench/run.py there)")
+    samples = measure([root for _, root in checkouts], args.runs, run)
+    for (label, root), sample in zip(checkouts, samples):
+        out = Path(f"BENCH_{label}.json")
+        out.write_text(json.dumps(snapshot(label, root, args.runs, sample), indent=1) + "\n",
+                       encoding="utf-8")
+        print(f"wrote {out}")
     return 0
 
 

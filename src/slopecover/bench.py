@@ -43,7 +43,10 @@ class BenchConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise TypeError(f"{key} must be {noun}, got {value!r}")
-            object.__setattr__(self, key, convert(value))
+            try:
+                object.__setattr__(self, key, convert(value))
+            except OverflowError:  # an integer or fraction beyond the float range
+                raise ValueError(f"{key} must be within the float range, got {value!r}") from None
         object.__setattr__(self, "weights", tuple(self.weights))
         if self.terrains < 1:
             raise ValueError(f"terrain count must be at least 1, got {self.terrains}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -15,6 +16,8 @@ from slopecover.weights import WeightSpec, edge_weights, total_weight
 # (row, col) offsets of the sub-cell corners of a mega cell, clockwise
 # starting top-left: NW, NE, SE, SW
 _CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
+# about one walk state in 2**_RULER_BITS is a ruler of the walk's list ranking
+_RULER_BITS = 7
 
 # 18 digits keep every canonical count and coordinate below 10**18 < 2**63,
 # so a file the bulk reader accepts cannot overflow int64
@@ -68,19 +71,13 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     # state 4u + k is corner k of node u. From corner k the walk crosses the
     # tree edge in direction k (up, right, down, left), if any, arriving at
     # the corner before k of the neighbour; otherwise it turns to corner k + 1.
-    incident = g.incident
-    crossing = np.isin(incident, tree.edges)
-    successor = np.arange(4 * n).reshape(n, 4) + (1, 1, 1, -3)
-    u, k = np.nonzero(crossing)
-    neighbour = g.edges[incident[crossing]].sum(axis=1) - u
-    successor[crossing] = 4 * neighbour + (k + 3) % 4
-    successor = successor.ravel().tolist()
-    # successor is a permutation of the states, so the walk returns to state 0
-    order = [0]
-    state = successor[0]
-    while state:
-        order.append(state)
-        state = successor[state]
+    successor = np.arange(1, 4 * n + 1)
+    successor[3::4] -= 4
+    a, b = g.edges[tree.edges].T
+    down = g.incident[a, 2] == tree.edges  # else the edge goes right from a
+    successor[4 * a + 1 + down] = 4 * b + down  # a's corner 1 (2) to b's corner 0 (1)
+    successor[4 * b + 3 - 3 * down] = 4 * a + 2 + down  # b's corner 3 (0) to a's corner 2 (3)
+    order = _cycle_from_zero(successor)
     if len(order) != 4 * n:
         raise ValueError(
             f"tree walk covered {len(order)} of {4 * n} fine cells; "
@@ -88,6 +85,61 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
         )
     corners = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2)
     return CoveragePath(cells=corners[order], closed=True)
+
+
+def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
+    """The states of the permutation successor's cycle through state 0, in
+    walk order from 0.
+
+    List ranking by a ruling set: state 0 and about one state in
+    2**_RULER_BITS, picked by a hash of the index, are rulers. Walkers start
+    from every ruler at once and step in array rounds until each reaches the
+    next ruler, recording for every state it passes its owner (the ruler's
+    rank among the rulers) and its distance from it. One Python loop then
+    follows the ruler chain from state 0, each ruler's position being the sum
+    of the gaps before it, and a scatter puts every state at its owner's
+    position plus its distance.
+    """
+    states = len(successor)
+    ruler = _hash(np.arange(states, dtype=np.uint64)) >> np.uint64(64 - _RULER_BITS) == 0
+    ruler[0] = True
+    rulers = np.flatnonzero(ruler)
+    owner = np.full(states, len(rulers))  # rank len(rulers): on a cycle without a ruler
+    owner[rulers] = np.arange(len(rulers))
+    distance = np.zeros(states, dtype=np.int64)
+    next_ruler, gap = np.empty_like(rulers), np.empty_like(rulers)
+    walker, at, steps = np.arange(len(rulers)), successor[rulers], 1
+    while len(walker):
+        arrived = ruler[at]
+        if arrived.any():
+            next_ruler[walker[arrived]] = owner[at[arrived]]
+            gap[walker[arrived]] = steps
+            walker, at = walker[~arrived], at[~arrived]
+        owner[at] = walker
+        distance[at] = steps
+        at = successor[at]
+        steps += 1
+    position = [-1] * (len(rulers) + 1)  # -1 stays for every ruler off state 0's cycle
+    next_ruler, gap = next_ruler.tolist(), gap.tolist()
+    r = covered = 0
+    while position[r] < 0:
+        position[r] = covered
+        covered += gap[r]
+        r = next_ruler[r]
+    start = np.array(position)[owner]
+    on_cycle = start >= 0
+    order = np.empty(covered, dtype=np.int64)
+    order[(start + distance)[on_cycle]] = np.flatnonzero(on_cycle)
+    return order
+
+
+def _hash(x: np.ndarray) -> np.ndarray:
+    """A fixed mix of uint64 values (the splitmix64 finalizer), in place."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        x ^= x >> np.uint64(shift)
+        x *= np.uint64(factor)
+    x ^= x >> np.uint64(31)
+    return x
 
 
 def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
@@ -158,7 +210,23 @@ def format_path(path: CoveragePath) -> str:
     `row col` line per cell."""
     word = "closed" if path.closed else "open"
     cells = path.cells
-    return f"PATH {len(cells)} {word}\n" + ("%d %d\n" * len(cells)) % tuple(cells.ravel().tolist())
+    parts = np.empty(2 * len(cells), dtype=object)  # "row ", "col\n", "row ", ...
+    parts[0::2] = _each_formatted(cells[:, 0], lambda v: f"{v} ")
+    parts[1::2] = _each_formatted(cells[:, 1], lambda v: f"{v}\n")
+    return f"PATH {len(cells)} {word}\n" + "".join(parts.tolist())
+
+
+def _each_formatted(values: np.ndarray, text: Callable[[int], str]) -> np.ndarray:
+    """text(v) of each int64 value, computed once per distinct value on the
+    Python int, so any value works, inside the grid or not. The table spans
+    the values' whole range when that is shorter than values, as it is for
+    a route's rows and columns, and holds only the distinct values (found by
+    sorting) otherwise."""
+    low, high = (int(values.min()), int(values.max())) if len(values) else (0, 0)
+    if high - low < len(values):
+        return np.array([text(v) for v in range(low, high + 1)], dtype=object)[values - low]
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([text(v) for v in distinct.tolist()], dtype=object)[inverse]
 
 
 def parse_path(text: str) -> CoveragePath:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from slopecover.coverage import CoveragePath
+from slopecover.coverage import CoveragePath, _each_formatted
 from slopecover.terrain import HeightGrid
 
 _OBSTACLE_FILL = "#d62728"  # solid red
@@ -104,9 +102,3 @@ def _points_text(cells: np.ndarray, s: float) -> str:
         points[k::2] = _each_formatted(coords, lambda v: f"{(v + 0.5) * s:g}")
     return ("%s,%s " * len(cells))[:-1] % tuple(points.tolist())
 
-
-def _each_formatted(values: np.ndarray, text: Callable[[int], str]) -> np.ndarray:
-    """text(v) of each int64 value, computed once per distinct value on the
-    Python int, so any value works, inside the grid or not."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([text(v) for v in distinct.tolist()], dtype=object)[inverse]

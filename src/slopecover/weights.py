@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 
 import numpy as np
@@ -46,23 +45,85 @@ def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> 
     - PYTHAGORAS: the straight-line distance sqrt(d^2 + (h1-h2)^2);
     - SLOPE_PENALTY: that distance times (1 + |h1-h2|/d), to punish steep edges.
 
-    Each value is bit for bit what the formula gives on Python floats: the
+    Each value is bit for bit what the formula gives on Python floats, with
+    math.hypot for the distance (tests/oracles.scalar_weight): the
     subtraction, |diff| / d, the penalty factor and the product are the same
-    IEEE operations in numpy, and the distance runs through math.hypot, since
-    np.hypot differs from it in the last bit on some inputs. Differences that
-    overflow give inf.
+    IEEE operations in numpy, and _hypot repeats math.hypot's steps on arrays,
+    since np.hypot differs from it in the last bit on some inputs. Differences
+    that overflow give inf.
     """
     _check_distance(d)
     with np.errstate(over="ignore"):
         diff = np.subtract(h1, h2, dtype=np.float64)
         if spec is WeightSpec.UNIT:
             return np.ones(len(diff))
-        hyp = np.fromiter(map(math.hypot, itertools.repeat(float(d)), diff.tolist()), np.float64)
+        hyp = _hypot(float(d), diff)
         if spec is WeightSpec.PYTHAGORAS:
             return hyp
         if spec is WeightSpec.SLOPE_PENALTY:
             return hyp * (1.0 + np.abs(diff) / d)
     raise TypeError(f"not a WeightSpec: {spec!r}")
+
+
+_BLOCK = 1 << 14  # elements priced at a time, which bounds the temporaries
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a 53-bit significand
+_SMALLEST_NORMAL = 2.0 ** -1022
+
+
+def _hypot(d: float, diff: np.ndarray) -> np.ndarray:
+    """math.hypot(d, x) of every x in diff, bit for bit.
+
+    CPython 3.11's vector_norm on the two values (d, |x|): scale both by the
+    power of two that brings the larger into [0.5, 1), add their exact
+    squares (Dekker products) to csum = 1 with fast two-sums whose low parts
+    go to frac1 and frac2, take the square root, apply one differential
+    correction and undo the scale. An infinite value gives inf; rows whose
+    larger value is below the smallest normal float, where the scale would
+    overflow, go through math.hypot itself.
+    """
+    out = np.empty(len(diff))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf rows are set after, from big
+        for start in range(0, len(diff), _BLOCK):
+            x = np.abs(diff[start:start + _BLOCK])
+            big = np.fmax(x, d)
+            scale = np.ldexp(1.0, -np.frexp(big)[1])
+            # frac1 and frac2 start from the first value's terms, not 0.0 + them: a zero's
+            # sign cannot reach the result, since csum - 1 >= 0.25 and h > 0
+            square, frac1 = _exact_square(d * scale)
+            csum, frac2 = _fast_two_sum(1.0, square)
+            square, square_low = _exact_square(x * scale)
+            csum, sum_low = _fast_two_sum(csum, square)
+            frac1 += square_low
+            frac2 += sum_low
+            h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+            square, square_low = _exact_square(h)  # dl_mul(-h, h) is its negation
+            csum, sum_low = _fast_two_sum(csum, -square)
+            frac1, frac2 = frac1 - square_low, frac2 + sum_low
+            h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+            block = out[start:start + _BLOCK]
+            np.divide(h, scale, out=block)
+            block[np.isinf(big)] = np.inf
+            for i in np.flatnonzero(big < _SMALLEST_NORMAL).tolist():
+                block[i] = math.hypot(d, x[i])
+    return out
+
+
+def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * x as an unevaluated sum hi + lo (Dekker's mul12 on split halves)."""
+    t = x * _SPLIT
+    hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = hi * lo
+    q += q  # hi * lo + lo * hi: doubling is exact
+    z = p + q
+    return z, p - z + q + lo * lo
+
+
+def _fast_two_sum(a: np.ndarray | float, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a + b and its rounding error, exact when |a| >= |b|."""
+    s = a + b
+    return s, a - s + b
 
 
 def total_weight(weights: np.ndarray, name: str) -> float:

@@ -238,6 +238,42 @@ def scalar_path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> 
     return total
 
 
+def pointer_chase_walk(tree: SpanningTree) -> CoveragePath:
+    """The clockwise walk around a spanning tree one state at a time, as
+    coverage.circumnavigate did it before its list ranking: the reference for
+    every cell and for the error text."""
+    g = tree.graph
+    n = len(g.nodes)
+    incident = g.incident
+    crossing = np.isin(incident, tree.edges)
+    successor = np.arange(4 * n).reshape(n, 4) + (1, 1, 1, -3)
+    u, k = np.nonzero(crossing)
+    neighbour = g.edges[incident[crossing]].sum(axis=1) - u
+    successor[crossing] = 4 * neighbour + (k + 3) % 4
+    successor = successor.ravel().tolist()
+    order = [0]
+    state = successor[0]
+    while state:
+        order.append(state)
+        state = successor[state]
+    if len(order) != 4 * n:
+        raise ValueError(
+            f"tree walk covered {len(order)} of {4 * n} fine cells; "
+            "the tree does not span all free mega cells"
+        )
+    offsets = ((0, 0), (0, 1), (1, 1), (1, 0))
+    corners = (2 * g.nodes[:, None, :] + offsets).reshape(-1, 2)
+    return CoveragePath(cells=corners[order], closed=True)
+
+
+def format_path_template(path: CoveragePath) -> str:
+    """The route writer as one `%` template over every coordinate, as
+    coverage.format_path did it before its tables of distinct values."""
+    word = "closed" if path.closed else "open"
+    cells = path.cells
+    return f"PATH {len(cells)} {word}\n" + ("%d %d\n" * len(cells)) % tuple(cells.ravel().tolist())
+
+
 def parse_path_lines(text: str) -> CoveragePath:
     """The route reader one line at a time, as it stood before the bulk
     reader: the reference for every result and every error message."""

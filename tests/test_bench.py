@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,12 @@ class TestConfig:
         cfg = small_config(roughness_min=np.float32(0.25), roughness_max=1, spacing=np.int64(2))
         assert (cfg.roughness_min, cfg.roughness_max, cfg.spacing) == (0.25, 1.0, 2.0)
         assert all(type(value) is float for value in (cfg.roughness_min, cfg.roughness_max, cfg.spacing))
+
+    @pytest.mark.parametrize("key", ["roughness_min", "roughness_max", "spacing"])
+    @pytest.mark.parametrize("value", [10**400, -10**400, Fraction(10**400, 3)])
+    def test_real_keys_beyond_the_float_range_are_named(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be within the float range, got "):
+            small_config(**{key: value})
 
     @pytest.mark.parametrize("weights, bad", [(("pythagoras",), "'pythagoras'"),
                                               ((WeightSpec.UNIT, 1), "1"), ((None,), "None")])

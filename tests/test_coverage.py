@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from oracles import (
     coverage_violations,
     flood_fill_regions,
     mega,
+    format_path_template,
     parse_path_lines,
+    pointer_chase_walk,
     sacrificed_cells,
     scalar_path_cost,
     tree_crossing_violations,
@@ -144,6 +147,87 @@ def test_rejects_edge_set_that_is_not_a_spanning_tree(edges):
     not_a_tree = SpanningTree(graph=g, edges=np.array(edges, dtype=np.int64))
     with pytest.raises(ValueError, match="does not span"):
         circumnavigate(not_a_tree)
+
+
+def first_region(free: np.ndarray) -> np.ndarray:
+    """The free cells 4-connected to the first free cell in row-major order."""
+    region = np.zeros_like(free)
+    if not free.any():
+        return region
+    start = tuple(np.argwhere(free)[0].tolist())
+    region[start] = True
+    queue = deque([start])
+    while queue:
+        r, c = queue.popleft()
+        for cell in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if 0 <= cell[0] < free.shape[0] and 0 <= cell[1] < free.shape[1] and free[cell] \
+                    and not region[cell]:
+                region[cell] = True
+                queue.append(cell)
+    return region
+
+
+class TestWalkOracle:
+    """circumnavigate's list ranking against the walk one state at a time:
+    the same cells, bit for bit, or the same error."""
+
+    @staticmethod
+    def assert_same_walk(tree: SpanningTree) -> None:
+        got, expected = circumnavigate(tree), pointer_chase_walk(tree)
+        assert got.closed
+        assert got.cells.dtype == expected.cells.dtype and got.cells.shape == expected.cells.shape
+        assert got.cells.tobytes() == expected.cells.tobytes()
+
+    @settings(max_examples=150)
+    @given(
+        rows=st.integers(min_value=1, max_value=30),
+        cols=st.integers(min_value=1, max_value=30),
+        density=st.floats(min_value=0.0, max_value=0.6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        spec=st.sampled_from(list(WeightSpec)),
+    )
+    def test_matches_pointer_chase_on_random_masks(self, rows, cols, density, seed, spec):
+        rng = np.random.default_rng(seed)
+        free = first_region(rng.random((rows, cols)) >= density)
+        assume(free.any())
+        g = build_graph(mega(rng.normal(0.0, 2.0, free.shape), ~free))
+        for tree in (minimum_spanning_tree(g, g.weights(spec)), classical_spanning_tree(g)):
+            self.assert_same_walk(tree)
+
+    def test_one_node(self):
+        g = build_graph(mega([[1.0]]))
+        self.assert_same_walk(classical_spanning_tree(g))
+        self.assert_same_walk(SpanningTree(graph=g, edges=np.array([], dtype=np.int64)))
+
+    @pytest.mark.parametrize("teeth, length", [(3, 600), (40, 130), (129, 9)])
+    def test_comb_of_long_vertical_corridors(self, teeth, length):
+        """Teeth one cell wide hang from a top row: the walk goes down and up
+        each tooth through states whose indices step by a tooth's width, the
+        case that defeats rulers taken at every k-th index."""
+        blocked = np.ones((length, 2 * teeth - 1), dtype=bool)
+        blocked[0] = False
+        blocked[:, 0::2] = False
+        g = build_graph(mega(np.zeros(blocked.shape), blocked))
+        for tree in (minimum_spanning_tree(g, g.weights(WeightSpec.UNIT)), classical_spanning_tree(g)):
+            assert len(tree.edges) == len(g.edges)  # the comb is its own spanning tree
+            self.assert_same_walk(tree)
+
+    @settings(max_examples=60)
+    @given(rows=st.integers(1, 30), cols=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           pick=st.integers(0, 10**6))
+    def test_tree_missing_an_edge_raises_the_same_error(self, rows, cols, seed, pick):
+        rng = np.random.default_rng(seed)
+        free = first_region(rng.random((rows, cols)) >= 0.3)
+        assume(free.sum() > 1)
+        g = build_graph(mega(np.zeros(free.shape), ~free))
+        full = classical_spanning_tree(g).edges
+        tree = SpanningTree(graph=g, edges=np.delete(full, pick % len(full)))
+        with pytest.raises(ValueError) as expected:
+            pointer_chase_walk(tree)
+        with pytest.raises(ValueError) as got:
+            circumnavigate(tree)
+        assert str(got.value) == str(expected.value)
+        assert "does not span all free mega cells" in str(got.value)
 
 
 class TestPathCost:
@@ -314,6 +398,22 @@ class TestPathFiles:
         assert back.closed == path.closed
         assert back.cells.dtype == np.int64
         assert np.array_equal(back.cells, path.cells)
+
+    @settings(max_examples=200)
+    @given(
+        cells=st.lists(st.tuples(st.one_of(st.integers(-40, 40), st.integers(10**15, 2**63 - 1),
+                                           st.integers(-(2**63), -(10**15))),
+                                 st.integers(-(2**63), 2**63 - 1)), max_size=40),
+        closed=st.booleans(),
+    )
+    def test_matches_one_template_writer(self, cells, closed):
+        """Negative, sparse (>= 1e15), empty and open paths: the same text as
+        one `%d %d` template over every coordinate, and it reads back."""
+        path = CoveragePath(cells=cells, closed=closed)
+        text = format_path(path)
+        assert text == format_path_template(path)
+        back = parse_path(text)
+        assert back.closed == closed and back.cells.tobytes() == path.cells.tobytes()
 
     @settings(max_examples=300)
     @given(

@@ -61,19 +61,31 @@ def test_run_full_benchmark_below_three_terrains_omits_correlations(tmp_path, mo
     assert "# correlation" not in out.read_text()
 
 
-def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, capsys):
-    """The snapshot script on a stubbed benchmark runner, so nothing is timed."""
+def load_bench_snapshot():
     spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPTS / "bench_snapshot.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    (tmp_path / "perfbench").mkdir()
-    (tmp_path / "perfbench" / "run.py").write_text("")
-    (tmp_path / "src" / "slopecover").mkdir(parents=True)
-    (tmp_path / "src" / "slopecover" / "__init__.py").write_text('"""x"""\n__all__ = ["a", "b"]\n')
+    return module
+
+
+def fake_checkout(root: Path, exported: list[str]) -> Path:
+    """The files bench_snapshot reads: perfbench/run.py and the package's __all__."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("")
+    (root / "src" / "slopecover").mkdir(parents=True)
+    (root / "src" / "slopecover" / "__init__.py").write_text(f'"""x"""\n__all__ = {exported!r}\n')
+    return root
+
+
+def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, capsys):
+    """The snapshot script on a stubbed benchmark runner, so nothing is timed."""
+    module = load_bench_snapshot()
+    fake_checkout(tmp_path, ["a", "b"])
     monkeypatch.chdir(tmp_path)
     calls = []
 
-    def fake_run(workload):
+    def fake_run(workload, root):
+        assert root == tmp_path
         calls.append(workload)
         wall = [3.0, 1.0, 2.0][calls.count(workload) - 1]
         return {"correct": True, "attempted": 4, "failed": 0,
@@ -92,5 +104,41 @@ def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, ca
         assert record["workloads"][workload]["peak_rss_mb"]["median"] == 50.0
     failing = {"correct": False, "attempted": 4, "failed": 1, "metrics": {}}
     with pytest.raises(RuntimeError, match="paper-bench: 1 of 4 commands failed"):
-        module.main(["y"], run=lambda workload: failing)
+        module.main(["y"], run=lambda workload, root: failing)
     assert not (tmp_path / "BENCH_y.json").exists()
+
+
+def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypatch, capsys):
+    """--against runs each workload in both checkouts in every round, this one
+    first in even rounds, and writes one file per checkout here."""
+    module = load_bench_snapshot()
+    here = fake_checkout(tmp_path / "here", ["a", "b"])
+    there = fake_checkout(tmp_path / "there", ["a", "b", "c"])
+    monkeypatch.chdir(here)
+    calls = []
+
+    def fake_run(workload, root):
+        calls.append((workload, root.name))
+        wall = 1.0 if root == here else 2.0
+        return {"correct": True, "attempted": 4, "failed": 0,
+                "metrics": {"wall_s": {"value": wall + len(calls) / 1000, "unit": "s"}}}
+
+    assert module.main(["new", "--against", "../there", "old", "--runs", "4"], run=fake_run) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["wrote BENCH_new.json", "wrote BENCH_old.json"]
+    expected = []
+    for k in range(4):
+        for workload in module.WORKLOADS:
+            sides = ["here", "there"] if k % 2 == 0 else ["there", "here"]
+            expected += [(workload, side) for side in sides]
+    assert calls == expected
+    new = json.loads((here / "BENCH_new.json").read_text())
+    old = json.loads((here / "BENCH_old.json").read_text())
+    assert not (there / "BENCH_old.json").exists()
+    assert (new["label"], new["runs"], new["all_size"]) == ("new", 4, 2)
+    assert (old["label"], old["runs"], old["all_size"]) == ("old", 4, 3)
+    for workload in module.WORKLOADS:
+        assert [int(v) for v in new["workloads"][workload]["wall_s"]["runs"]] == [1] * 4
+        assert [int(v) for v in old["workloads"][workload]["wall_s"]["runs"]] == [2] * 4
+    with pytest.raises(SystemExit):
+        module.main(["new", "--against", str(tmp_path), "old"], run=fake_run)  # no perfbench there
+    assert "is not the root of a checkout" in capsys.readouterr().err

@@ -137,6 +137,50 @@ def test_array_weights_equal_scalar_weights_bit_for_bit(spec, pairs, d):
         assert got.tobytes() == expected.tobytes()
 
 
+SMALLEST_NORMAL = 2.0**-1022
+BIGGEST = 1.7976931348623157e308
+# values at the ends of the float range, at the smallest normal float and on
+# either side of it; differences of the large ones overflow to inf
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, SMALLEST_NORMAL, -SMALLEST_NORMAL,
+            math.nextafter(SMALLEST_NORMAL, 0.0), math.nextafter(SMALLEST_NORMAL, 1.0),
+            1e308, -1e308, BIGGEST, -BIGGEST, math.nextafter(BIGGEST, 0.0)]
+any_heights = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EXTREMES))
+any_distances = st.one_of(st.floats(min_value=5e-324, max_value=BIGGEST),
+                          st.sampled_from([d for d in EXTREMES if d > 0]))
+
+
+def assert_equal_to_scalar_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> None:
+    expected = np.array([scalar_weight(spec, a, b, d) for a, b in zip(h1.tolist(), h2.tolist())],
+                        dtype=np.float64)
+    got = edge_weights(spec, h1, h2, d)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", list(WeightSpec))
+@given(pairs=st.lists(st.tuples(any_heights, any_heights), max_size=40), d=any_distances)
+def test_array_weights_equal_scalar_weights_at_the_ends_of_the_float_range(spec, pairs, d):
+    """Heights and distances from 5e-324 to the largest float, signed zeros,
+    the smallest normal float (below it math.hypot rescales) and differences
+    that overflow to inf."""
+    drawn = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    assert_equal_to_scalar_weights(spec, drawn[:, 0], drawn[:, 1], d)
+    assert_equal_to_scalar_weights(spec, drawn[:, 0], np.zeros(len(drawn)), d)  # diff = h1 exactly
+
+
+@pytest.mark.parametrize("d", [5e-324, 1e-310, SMALLEST_NORMAL, 1e-200, 1.0, 3.0, 1e300, BIGGEST])
+def test_array_weights_equal_scalar_weights_over_several_blocks(d):
+    """Float64 values of every exponent, over more than two pricing blocks."""
+    bits = np.random.default_rng(7).integers(0, 2**64, 80_000, dtype=np.uint64, endpoint=False)
+    heights = bits.view(np.float64).copy()
+    heights[~np.isfinite(heights)] = 0.0
+    heights[::97] = np.resize(EXTREMES, len(heights[::97]))
+    h1, h2 = heights[:40_000], heights[40_000:]
+    for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
+        assert_equal_to_scalar_weights(spec, h1, h2, d)
+        assert_equal_to_scalar_weights(spec, h1 * 1e-300, h2 * 1e-300, d)  # small and subnormal
+
+
 @pytest.mark.parametrize("spec", list(WeightSpec))
 def test_array_weights_reject_nonpositive_distance(spec):
     with pytest.raises(ValueError, match="positive"):
