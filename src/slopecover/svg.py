@@ -101,4 +101,3 @@ def _points_text(cells: np.ndarray, s: float) -> str:
     for k, coords in enumerate((cells[:, 1], cells[:, 0])):
         points[k::2] = _each_formatted(coords, lambda v: f"{(v + 0.5) * s:g}")
     return ("%s,%s " * len(cells))[:-1] % tuple(points.tolist())
-

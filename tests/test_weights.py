@@ -161,7 +161,7 @@ def assert_equal_to_scalar_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndar
 @given(pairs=st.lists(st.tuples(any_heights, any_heights), max_size=40), d=any_distances)
 def test_array_weights_equal_scalar_weights_at_the_ends_of_the_float_range(spec, pairs, d):
     """Heights and distances from 5e-324 to the largest float, signed zeros,
-    the smallest normal float (below it math.hypot rescales) and differences
+    the smallest normal float (below it edge_weights defers to math.hypot) and differences
     that overflow to inf."""
     drawn = np.array(pairs, dtype=np.float64).reshape(-1, 2)
     assert_equal_to_scalar_weights(spec, drawn[:, 0], drawn[:, 1], d)
