@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the benchmark three times and save the medians as BENCH_<LABEL>.json.
+"""Run the benchmark (three times by default) and save the medians as BENCH_<LABEL>.json.
 
     python scripts/bench_snapshot.py LABEL
     python scripts/bench_snapshot.py LABEL --against DIR OTHER --runs 10
@@ -119,6 +119,8 @@ def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_p
         parser.error(f"--runs must be at least 1, got {args.runs}")
     checkouts = [(args.label, Path.cwd())]
     if args.against:
+        if args.against[1] == args.label:
+            parser.error(f"both checkouts would write BENCH_{args.label}.json")
         checkouts.append((args.against[1], Path(args.against[0]).resolve()))
     for _, root in checkouts:
         if not (root / "perfbench/run.py").is_file():

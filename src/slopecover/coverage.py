@@ -75,8 +75,10 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     successor[3::4] -= 4
     a, b = g.edges[tree.edges].T
     down = g.incident[a, 2] == tree.edges  # else the edge goes right from a
-    successor[4 * a + 1 + down] = 4 * b + down  # a's corner 1 (2) to b's corner 0 (1)
-    successor[4 * b + 3 - 3 * down] = 4 * a + 2 + down  # b's corner 3 (0) to a's corner 2 (3)
+    # right edges take a's corner 1 to b's corner 0 and b's corner 3 to a's corner 2;
+    # down edges take a's corner 2 to b's corner 1 and b's corner 0 to a's corner 3
+    successor[4 * a + 1 + down] = 4 * b + down
+    successor[4 * b + 3 - 3 * down] = 4 * a + 2 + down
     order = _cycle_from_zero(successor)
     if len(order) != 4 * n:
         raise ValueError(

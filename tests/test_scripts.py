@@ -142,3 +142,6 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     with pytest.raises(SystemExit):
         module.main(["new", "--against", str(tmp_path), "old"], run=fake_run)  # no perfbench there
     assert "is not the root of a checkout" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        module.main(["new", "--against", "../there", "new"], run=fake_run)
+    assert "both checkouts would write BENCH_new.json" in capsys.readouterr().err
