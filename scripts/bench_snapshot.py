@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Run the benchmark (three times by default) and save the medians as BENCH_<LABEL>.json.
+"""Run the benchmark (3 times, or 10 with --against) and save the medians as BENCH_<LABEL>.json.
 
     python scripts/bench_snapshot.py LABEL
-    python scripts/bench_snapshot.py LABEL --against DIR OTHER --runs 10
+    python scripts/bench_snapshot.py LABEL --against DIR
 
 Run it from the root of a checkout. Each run is one
 `perfbench/run.py --workload W --seed 42 --seconds 20 --trace 0`, the
@@ -12,11 +12,12 @@ the git SHA (and whether the tree had uncommitted changes), `nproc`, the
 `src/` line count and the size of `slopecover.__all__`, so that two
 snapshots compare speed and size together.
 
-With `--against DIR OTHER` the checkout at DIR is measured too, and its
-snapshot is saved here as BENCH_<OTHER>.json. Each workload's runs of the
-two checkouts alternate, this one first in even rounds and DIR first in odd
-ones, so that both see the same phases of the machine and run k of one
-pairs with run k of the other.
+With `--against DIR` the git checkout at DIR is measured too, ten times, and
+its snapshot is saved here as BENCH_<SHA>.json, SHA being DIR's short commit
+hash. Each workload's runs of the two checkouts alternate, this one first in
+even rounds and DIR first in odd ones, so that both see the same phases of
+the machine and run k of one pairs with run k of the other: ten pairs, the
+fewest that can show a gain.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Callable
 
 WORKLOADS = ("paper-bench", "plan-1000", "render-500")
 RUNS = 3
+PAIRED_RUNS = 10  # per checkout with --against
 SEED = 42
 SECONDS = 20
 
@@ -110,25 +112,27 @@ def snapshot(label: str, root: Path, runs: int, samples: dict[str, list[dict]]) 
 def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_perfbench) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<LABEL>.json")
-    parser.add_argument("--against", nargs=2, metavar=("DIR", "OTHER"),
-                        help="also measure the checkout at DIR, alternating, into BENCH_<OTHER>.json")
-    parser.add_argument("--runs", type=int, default=RUNS, help=f"runs per workload and checkout "
-                        f"(default {RUNS})")
+    parser.add_argument("--against", metavar="DIR",
+                        help=f"also measure the git checkout at DIR, alternating, {PAIRED_RUNS} "
+                        "runs each, into BENCH_<DIR's short SHA>.json")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error(f"--runs must be at least 1, got {args.runs}")
     checkouts = [(args.label, Path.cwd())]
     if args.against:
-        if args.against[1] == args.label:
+        root = Path(args.against).resolve()
+        other = git(root, "rev-parse", "--short", "HEAD")
+        if other is None:
+            parser.error(f"{root} is not a git checkout")
+        if other == args.label:
             parser.error(f"both checkouts would write BENCH_{args.label}.json")
-        checkouts.append((args.against[1], Path(args.against[0]).resolve()))
+        checkouts.append((other, root))
     for _, root in checkouts:
         if not (root / "perfbench/run.py").is_file():
             parser.error(f"{root} is not the root of a checkout (no perfbench/run.py there)")
-    samples = measure([root for _, root in checkouts], args.runs, run)
+    runs = PAIRED_RUNS if args.against else RUNS
+    samples = measure([root for _, root in checkouts], runs, run)
     for (label, root), sample in zip(checkouts, samples):
         out = Path(f"BENCH_{label}.json")
-        out.write_text(json.dumps(snapshot(label, root, args.runs, sample), indent=1) + "\n",
+        out.write_text(json.dumps(snapshot(label, root, runs, sample), indent=1) + "\n",
                        encoding="utf-8")
         print(f"wrote {out}")
     return 0

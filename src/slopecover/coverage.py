@@ -16,8 +16,8 @@ from slopecover.weights import WeightSpec, edge_weights, total_weight
 # (row, col) offsets of the sub-cell corners of a mega cell, clockwise
 # starting top-left: NW, NE, SE, SW
 _CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
-# about one walk state in 2**_RULER_BITS is a ruler of the walk's list ranking
-_RULER_BITS = 7
+# the share of walk states that are rulers of the walk's list ranking
+_RULER_SHARE = 2.0 ** -7
 
 # 18 digits keep every canonical count and coordinate below 10**18 < 2**63,
 # so a file the bulk reader accepts cannot overflow int64
@@ -93,8 +93,9 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
     """The states of the permutation successor's cycle through state 0, in
     walk order from 0.
 
-    List ranking by a ruling set: state 0 and about one state in
-    2**_RULER_BITS, picked by a hash of the index, are rulers. Walkers start
+    List ranking by a ruling set: state 0 and a share _RULER_SHARE of the
+    states, drawn by a seeded generator (not every k-th index, whose gaps a
+    corridor can stretch to the grid's length), are rulers. Walkers start
     from every ruler at once and step in array rounds until each reaches the
     next ruler, recording for every state it passes its owner (the ruler's
     rank among the rulers) and its distance from it. One Python loop then
@@ -103,7 +104,7 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
     position plus its distance.
     """
     states = len(successor)
-    ruler = _hash(np.arange(states, dtype=np.uint64)) >> np.uint64(64 - _RULER_BITS) == 0
+    ruler = np.random.default_rng(0).random(states) < _RULER_SHARE
     ruler[0] = True
     rulers = np.flatnonzero(ruler)
     owner = np.full(states, len(rulers))  # rank len(rulers): on a cycle without a ruler
@@ -133,15 +134,6 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
     order = np.empty(covered, dtype=np.int64)
     order[(start + distance)[on_cycle]] = np.flatnonzero(on_cycle)
     return order
-
-
-def _hash(x: np.ndarray) -> np.ndarray:
-    """A fixed mix of uint64 values (the splitmix64 finalizer), in place."""
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        x ^= x >> np.uint64(shift)
-        x *= np.uint64(factor)
-    x ^= x >> np.uint64(31)
-    return x
 
 
 def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:

@@ -65,7 +65,7 @@ def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> 
     raise TypeError(f"not a WeightSpec: {spec!r}")
 
 
-_BLOCK = 1 << 14  # elements priced at a time, which bounds the temporaries
+_BLOCK = 1 << 12  # elements priced at a time; about 15 temporaries of this length live at once
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a 53-bit significand
 _SMALLEST_NORMAL = 2.0 ** -1022
 

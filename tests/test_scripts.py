@@ -110,10 +110,15 @@ def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, ca
 
 def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypatch, capsys):
     """--against runs each workload in both checkouts in every round, this one
-    first in even rounds, and writes one file per checkout here."""
+    first in even rounds, ten rounds, and writes one file per checkout here,
+    the other named by its short SHA."""
     module = load_bench_snapshot()
     here = fake_checkout(tmp_path / "here", ["a", "b"])
     there = fake_checkout(tmp_path / "there", ["a", "b", "c"])
+    (tmp_path / "bare").mkdir()
+    short_shas = {"there": "0a1b2c3", "bare": "9f8e7d6"}  # "here" is not a git checkout
+    monkeypatch.setattr(module, "git", lambda root, *args: short_shas.get(root.name)
+                        if args == ("rev-parse", "--short", "HEAD") else None)
     monkeypatch.chdir(here)
     calls = []
 
@@ -123,25 +128,28 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
         return {"correct": True, "attempted": 4, "failed": 0,
                 "metrics": {"wall_s": {"value": wall + len(calls) / 1000, "unit": "s"}}}
 
-    assert module.main(["new", "--against", "../there", "old", "--runs", "4"], run=fake_run) == 0
-    assert capsys.readouterr().out.split("\n")[:2] == ["wrote BENCH_new.json", "wrote BENCH_old.json"]
+    assert module.main(["new", "--against", "../there"], run=fake_run) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["wrote BENCH_new.json", "wrote BENCH_0a1b2c3.json"]
     expected = []
-    for k in range(4):
+    for k in range(10):
         for workload in module.WORKLOADS:
             sides = ["here", "there"] if k % 2 == 0 else ["there", "here"]
             expected += [(workload, side) for side in sides]
     assert calls == expected
     new = json.loads((here / "BENCH_new.json").read_text())
-    old = json.loads((here / "BENCH_old.json").read_text())
-    assert not (there / "BENCH_old.json").exists()
-    assert (new["label"], new["runs"], new["all_size"]) == ("new", 4, 2)
-    assert (old["label"], old["runs"], old["all_size"]) == ("old", 4, 3)
+    old = json.loads((here / "BENCH_0a1b2c3.json").read_text())
+    assert not (there / "BENCH_0a1b2c3.json").exists()
+    assert (new["label"], new["runs"], new["all_size"]) == ("new", 10, 2)
+    assert (old["label"], old["runs"], old["all_size"]) == ("0a1b2c3", 10, 3)
     for workload in module.WORKLOADS:
-        assert [int(v) for v in new["workloads"][workload]["wall_s"]["runs"]] == [1] * 4
-        assert [int(v) for v in old["workloads"][workload]["wall_s"]["runs"]] == [2] * 4
+        assert [int(v) for v in new["workloads"][workload]["wall_s"]["runs"]] == [1] * 10
+        assert [int(v) for v in old["workloads"][workload]["wall_s"]["runs"]] == [2] * 10
     with pytest.raises(SystemExit):
-        module.main(["new", "--against", str(tmp_path), "old"], run=fake_run)  # no perfbench there
+        module.main(["new", "--against", "../bare"], run=fake_run)  # no perfbench there
     assert "is not the root of a checkout" in capsys.readouterr().err
     with pytest.raises(SystemExit):
-        module.main(["new", "--against", "../there", "new"], run=fake_run)
-    assert "both checkouts would write BENCH_new.json" in capsys.readouterr().err
+        module.main(["new", "--against", "."], run=fake_run)
+    assert "is not a git checkout" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        module.main(["0a1b2c3", "--against", "../there"], run=fake_run)
+    assert "both checkouts would write BENCH_0a1b2c3.json" in capsys.readouterr().err
