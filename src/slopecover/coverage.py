@@ -68,6 +68,9 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     """
     g = tree.graph
     n = len(g.nodes)
+    if not n:
+        raise ValueError("tree walk covered 0 fine cells; "
+                         "the graph has no free mega cell to start from")
     # state 4u + k is corner k of node u. From corner k the walk crosses the
     # tree edge in direction k (up, right, down, left), if any, arriving at
     # the corner before k of the neighbour; otherwise it turns to corner k + 1.

@@ -183,26 +183,36 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     up, right, down, left. Deterministic representative of the unit-weight
     approach, where any spanning tree is minimal. Raises DisconnectedGridError
     unless the free cells form exactly one region."""
-    # pushed reversed so pops explore up, right, down, left
-    incident = g.incident[:, ::-1].tolist()
-    ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
     n = len(g.nodes)
-    visited = [False] * n
-    chosen: list[int] = []
-    stack: list[tuple[int, int]] = [(0, -1)] if n else []
+    # each node's up, right, down and left neighbour, or the sentinel node n;
+    # ends (padded for the -1 slots) is a + b, so the far end of edge e from u is ends[e] - u
+    ends = np.append(g.edges.sum(axis=1), 0)
+    neighbour = np.where(g.incident >= 0, ends[g.incident] - np.arange(n)[:, None], n)
+    # The stack holds bare node ids, so the loop allocates nothing the cyclic
+    # collector tracks. Every neighbour is pushed, reversed so pops explore
+    # up, right, down, left; a visited one, the sentinel included, is skipped
+    # when popped, so the visit order is that of pushing only unvisited ones.
+    pushes = neighbour[:, ::-1].ravel().tolist()
+    visited = [False] * n + [True]
+    order: list[int] = []
+    stack = [0] if n else []
     while stack:
-        u, via = stack.pop()
+        u = stack.pop()
         if visited[u]:
             continue
         visited[u] = True
-        if via >= 0:
-            chosen.append(via)
-        for e in incident[u]:
-            if e >= 0 and not visited[ends[e] - u]:
-                stack.append((ends[e] - u, e))
-    if len(chosen) != n - 1:  # the search missed a region; count them only now
+        order.append(u)
+        stack.extend(pushes[4 * u:4 * u + 4])
+    if not n or len(order) < n:  # no free cell, or the search missed a region; count them only now
         raise DisconnectedGridError(region_count(g.mega.blocked))
-    return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
+    # A node's first pop is its latest push, made by its neighbour visited
+    # last before it: that neighbour's edge is its tree edge.
+    rank = np.full(n + 1, -1)  # the sentinel's stays -1, below every node's
+    rank[order] = np.arange(n)
+    earlier = rank[neighbour]
+    earlier[earlier > rank[:n, None]] = -1
+    via = earlier[1:].argmax(axis=1)  # node 0, the root, has no tree edge
+    return SpanningTree(graph=g, edges=np.sort(g.incident[np.arange(1, n), via]))
 
 
 def tree_weight(tree: SpanningTree, weights: np.ndarray) -> float:

@@ -97,7 +97,7 @@ def _crossing_lines(cells: np.ndarray, s: float) -> list[str]:
 
 def _points_text(cells: np.ndarray, s: float) -> str:
     """`x,y` of each cell's centre, space separated."""
-    points = np.empty(2 * len(cells), dtype=object)  # x, y, x, y, ...
-    for k, coords in enumerate((cells[:, 1], cells[:, 0])):
-        points[k::2] = _each_formatted(coords, lambda v: f"{(v + 0.5) * s:g}")
-    return ("%s,%s " * len(cells))[:-1] % tuple(points.tolist())
+    points = np.empty(2 * len(cells), dtype=object)  # "x,", "y ", "x,", "y ", ...
+    points[0::2] = _each_formatted(cells[:, 1], lambda v: f"{(v + 0.5) * s:g},")
+    points[1::2] = _each_formatted(cells[:, 0], lambda v: f"{(v + 0.5) * s:g} ")
+    return "".join(points.tolist())[:-1]

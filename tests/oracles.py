@@ -13,7 +13,7 @@ from collections import Counter, deque
 import numpy as np
 
 from slopecover.coverage import CoveragePath, PathParseError
-from slopecover.graph import CoverageGraph, SpanningTree
+from slopecover.graph import CoverageGraph, DisconnectedGridError, SpanningTree
 from slopecover.terrain import HeightGrid, MegaGrid
 from slopecover.weights import WeightSpec
 
@@ -102,6 +102,33 @@ def stable_weight_kruskal(graph: CoverageGraph, spec: WeightSpec) -> np.ndarray:
             chosen.append(e)
     assert len(chosen) == len(graph.nodes) - 1, "graph passed to the oracle must be connected"
     return np.array(sorted(chosen), dtype=np.int64)
+
+
+def tuple_stack_dfs_tree(g: CoverageGraph) -> SpanningTree:
+    """The weight-blind depth-first tree one `(node, edge)` tuple per push, as
+    graph.classical_spanning_tree built it before its node-only stack and its
+    tree edges from the visit order. Raises DisconnectedGridError with the
+    flood-fill region count unless the free cells form exactly one region."""
+    # pushed reversed so pops explore up, right, down, left
+    incident = g.incident[:, ::-1].tolist()
+    ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
+    n = len(g.nodes)
+    visited = [False] * n
+    chosen: list[int] = []
+    stack: list[tuple[int, int]] = [(0, -1)] if n else []
+    while stack:
+        u, via = stack.pop()
+        if visited[u]:
+            continue
+        visited[u] = True
+        if via >= 0:
+            chosen.append(via)
+        for e in incident[u]:
+            if e >= 0 and not visited[ends[e] - u]:
+                stack.append((ends[e] - u, e))
+    if len(chosen) != n - 1:
+        raise DisconnectedGridError(flood_fill_regions(~g.mega.blocked))
+    return SpanningTree(graph=g, edges=np.array(sorted(chosen), dtype=np.int64))
 
 
 def enumerate_edges(mega: MegaGrid) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

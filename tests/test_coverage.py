@@ -149,6 +149,13 @@ def test_rejects_edge_set_that_is_not_a_spanning_tree(edges):
         circumnavigate(not_a_tree)
 
 
+def test_walk_over_a_graph_without_nodes_is_rejected():
+    g = build_graph(mega([[0.0]], np.ones((1, 1), dtype=bool)))
+    empty = SpanningTree(graph=g, edges=np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="^tree walk covered 0 fine cells; the graph has no free mega cell"):
+        circumnavigate(empty)
+
+
 def first_region(free: np.ndarray) -> np.ndarray:
     """The free cells 4-connected to the first free cell in row-major order."""
     region = np.zeros_like(free)

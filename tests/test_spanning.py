@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -13,7 +15,9 @@ from oracles import (
     random_weight_spec,
     scalar_weight,
     stable_weight_kruskal,
+    tuple_stack_dfs_tree,
 )
+from slopecover.bench import BenchConfig
 from slopecover.graph import (
     CoverageGraph,
     DisconnectedGridError,
@@ -230,3 +234,93 @@ def test_nan_weights_raise_instead_of_looping():
     g = build_graph(mega(np.zeros((2, 2))))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^edge weights must not be nan$"):
         minimum_spanning_tree(g, np.full(len(g.edges), np.nan))
+
+
+def assert_same_dfs_tree(blocked: np.ndarray) -> None:
+    """classical_spanning_tree builds the tuple-stack tree byte for byte on a
+    one-region mask, and both raise with the flood-fill region count on any other."""
+    g = build_graph(mega(np.zeros(blocked.shape), blocked))
+    regions = flood_fill_regions(~blocked)
+    if regions == 1:
+        expected, actual = tuple_stack_dfs_tree(g).edges, classical_spanning_tree(g).edges
+        assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes())
+        return
+    for build in (tuple_stack_dfs_tree, classical_spanning_tree):
+        with pytest.raises(DisconnectedGridError) as info:
+            build(g)
+        assert info.value.components == regions
+
+
+def comb(rows: int, cols: int) -> np.ndarray:
+    """A free spine along row 0 with a free tooth down every other column."""
+    blocked = np.ones((rows, cols), dtype=bool)
+    blocked[0, :] = False
+    blocked[:, ::2] = False
+    return blocked
+
+
+@pytest.mark.parametrize("blocked", [
+    np.ones((1, 1), dtype=bool), np.ones((3, 4), dtype=bool),  # no free cell
+    np.array([[True, False, True]]), np.array([[True], [True], [False]]),  # one free cell
+    np.zeros((1, 9), dtype=bool), np.zeros((9, 1), dtype=bool),  # strips
+    comb(7, 9), comb(9, 8).T, comb(6, 11)[::-1], comb(5, 5)[:, ::-1],  # teeth on every side
+    np.array([[False, True, False], [True, True, False], [False, True, False]]),  # three regions
+], ids=["1x1-blocked", "3x4-blocked", "one-free-row", "one-free-column", "1x9", "9x1",
+        "comb-down", "comb-right", "comb-up", "comb-mirrored", "three-regions"])
+def test_dfs_tree_matches_tuple_stack_oracle_on_shapes(blocked):
+    assert_same_dfs_tree(blocked)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rows=st.integers(min_value=1, max_value=14),
+    cols=st.integers(min_value=1, max_value=14),
+    density=st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.6, 1.0]),
+    base=st.sampled_from(["open", "comb", "comb-transposed"]),
+)
+@example(seed=0, rows=1, cols=14, density=0.0, base="open")
+@example(seed=0, rows=14, cols=1, density=0.0, base="open")
+def test_dfs_tree_matches_tuple_stack_oracle_on_random_masks(seed, rows, cols, density, base):
+    """Random blocks over an open grid or a comb, in either orientation;
+    many masks split into several regions or have no free cell."""
+    blocked = {"open": np.zeros((rows, cols), dtype=bool), "comb": comb(rows, cols),
+               "comb-transposed": comb(cols, rows).T}[base]
+    assert_same_dfs_tree(blocked | (np.random.default_rng(seed).random((rows, cols)) < density))
+
+
+def paper_graphs() -> list[CoverageGraph]:
+    return [build_graph(aggregate(generate_terrain(spec)))
+            for spec in BenchConfig(seed=42).terrain_specs()]
+
+
+def test_dfs_tree_matches_tuple_stack_oracle_on_paper_graphs():
+    for g in paper_graphs():
+        expected, actual = tuple_stack_dfs_tree(g).edges, classical_spanning_tree(g).edges
+        assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+def test_dfs_tree_starts_no_garbage_collection():
+    """Nothing per node is tracked by the cyclic collector, so building the
+    baseline of a 250^2 paper terrain (~15k nodes) starts no collection, and
+    the builder leaves the collector's switch alone."""
+    g = build_graph(aggregate(generate_terrain(BenchConfig(seed=42).terrain_specs()[0])))
+    assert len(g.nodes) > 10_000
+    starts: list[int] = []
+
+    def count(phase: str, info: dict) -> None:
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        classical_spanning_tree(g)
+        assert gc.isenabled()
+    finally:
+        gc.callbacks.remove(count)
+        if not enabled:
+            gc.disable()
+    assert starts == []
