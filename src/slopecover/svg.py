@@ -45,8 +45,8 @@ def render_svg(grid: HeightGrid, path: CoveragePath, show_tree: bool = False,
         f'<polyline points="{_points_text(cells, s)}" fill="none" stroke="{_ROUTE_STROKE}" '
         f'stroke-width="{0.25 * s:g}" stroke-linejoin="round"/>'
     )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines += ["</svg>", ""]  # the empty last line ends the text with a newline
+    return "\n".join(lines)
 
 
 def _cell_rows(grid: HeightGrid, s: float) -> list[str]:
