@@ -105,10 +105,10 @@ def stable_weight_kruskal(graph: CoverageGraph, spec: WeightSpec) -> np.ndarray:
 
 
 def tuple_stack_dfs_tree(g: CoverageGraph) -> SpanningTree:
-    """The weight-blind depth-first tree one `(node, edge)` tuple per push, as
-    graph.classical_spanning_tree built it before its node-only stack and its
-    tree edges from the visit order. Raises DisconnectedGridError with the
-    flood-fill region count unless the free cells form exactly one region."""
+    """The weight-blind depth-first tree, built with one `(node, edge)` tuple
+    per push as graph.classical_spanning_tree built it before its node-only
+    stack and its tree edges from the visit order. Raises DisconnectedGridError
+    with the flood-fill region count unless the free cells form exactly one region."""
     # pushed reversed so pops explore up, right, down, left
     incident = g.incident[:, ::-1].tolist()
     ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
