@@ -17,7 +17,11 @@ its snapshot is saved here as BENCH_<SHA>.json, SHA being DIR's short commit
 hash. Each workload's runs of the two checkouts alternate, this one first in
 even rounds and DIR first in odd ones, so that both see the same phases of
 the machine and run k of one pairs with run k of the other: ten pairs, the
-fewest that can show a gain.
+fewest that can show a gain. For each workload and end-to-end metric of
+this checkout's BENCHMARK.json it then prints both medians, how many pairs
+this checkout won and lost in the metric's better direction (ties count for
+neither) and DIR's interquartile range, the distance between the quartiles
+of its runs (linear interpolation, as numpy's percentile).
 """
 
 from __future__ import annotations
@@ -109,6 +113,23 @@ def snapshot(label: str, root: Path, runs: int, samples: dict[str, list[dict]]) 
     }
 
 
+def verdict_lines(here: dict, there: dict, better: dict[str, str]) -> list[str]:
+    """One line per workload and metric named in better, which maps each
+    metric to "lower" or "higher", comparing the snapshots here and there."""
+    lines = []
+    for name in WORKLOADS:
+        for key, direction in better.items():
+            mine, theirs = here["workloads"][name][key], there["workloads"][name][key]
+            sign = 1 if direction == "higher" else -1
+            gains = [sign * (a - b) for a, b in zip(mine["runs"], theirs["runs"])]
+            won, lost = sum(gain > 0 for gain in gains), sum(gain < 0 for gain in gains)
+            q1, _, q3 = statistics.quantiles(theirs["runs"], n=4, method="inclusive")
+            lines.append(f"{name} {key} ({direction} is better): {here['label']} {mine['median']:.4g}, "
+                         f"{there['label']} {theirs['median']:.4g}; {here['label']} won {won} and lost "
+                         f"{lost} of {len(gains)} pairs; {there['label']} IQR {q3 - q1:.4g}")
+    return lines
+
+
 def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_perfbench) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<LABEL>.json")
@@ -125,16 +146,20 @@ def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_p
         if other == args.label:
             parser.error(f"both checkouts would write BENCH_{args.label}.json")
         checkouts.append((other, root))
+        benchmark = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
+        better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     for _, root in checkouts:
         if not (root / "perfbench/run.py").is_file():
             parser.error(f"{root} is not the root of a checkout (no perfbench/run.py there)")
     runs = PAIRED_RUNS if args.against else RUNS
     samples = measure([root for _, root in checkouts], runs, run)
-    for (label, root), sample in zip(checkouts, samples):
-        out = Path(f"BENCH_{label}.json")
-        out.write_text(json.dumps(snapshot(label, root, runs, sample), indent=1) + "\n",
-                       encoding="utf-8")
+    snapshots = [snapshot(label, root, runs, sample) for (label, root), sample in zip(checkouts, samples)]
+    for record in snapshots:
+        out = Path(f"BENCH_{record['label']}.json")
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {out}")
+    if args.against:
+        print("\n".join(verdict_lines(*snapshots, better)))
     return 0
 
 

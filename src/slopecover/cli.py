@@ -161,12 +161,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     spec = WeightSpec.from_token(args.weight)
     graph = build_graph(mega)
     # each builder is a module global looked up at call time, so wrappers on this module see it
-    if args.method == "mst":
-        weights = graph.weights(spec)
-        tree = minimum_spanning_tree(graph, weights)
-    else:
-        tree = classical_spanning_tree(graph)
-        weights = graph.weights(spec)  # priced after the DFS, which needs none
+    weights = graph.weights(spec)
+    tree = (minimum_spanning_tree(graph, weights) if args.method == "mst"
+            else classical_spanning_tree(graph))
     weight = tree_weight(tree, weights)
     del weights  # freed before the walk, plan's largest allocation
     path = circumnavigate(tree)

@@ -207,10 +207,8 @@ def format_path(path: CoveragePath) -> str:
     `row col` line per cell."""
     word = "closed" if path.closed else "open"
     cells = path.cells
-    parts = np.empty(2 * len(cells), dtype=object)  # "row ", "col\n", "row ", ...
-    parts[0::2] = _each_formatted(cells[:, 0], lambda v: f"{v} ")
-    parts[1::2] = _each_formatted(cells[:, 1], lambda v: f"{v}\n")
-    return f"PATH {len(cells)} {word}\n" + "".join(parts.tolist())
+    return f"PATH {len(cells)} {word}\n" + _joined(_each_formatted(cells[:, 0], lambda v: f"{v} "),
+                                                   _each_formatted(cells[:, 1], lambda v: f"{v}\n"))
 
 
 def _each_formatted(values: np.ndarray, text: Callable[[int], str]) -> np.ndarray:
@@ -224,6 +222,11 @@ def _each_formatted(values: np.ndarray, text: Callable[[int], str]) -> np.ndarra
         return np.array([text(v) for v in range(low, high + 1)], dtype=object)[values - low]
     distinct, inverse = np.unique(values, return_inverse=True)
     return np.array([text(v) for v in distinct.tolist()], dtype=object)[inverse]
+
+
+def _joined(*columns: np.ndarray | str) -> str:
+    """The columns' texts joined row by row; a str column repeats on every row."""
+    return "".join(np.column_stack(np.broadcast_arrays(*columns)).ravel().tolist())
 
 
 def parse_path(text: str) -> CoveragePath:

@@ -14,6 +14,7 @@ from slopecover.graph import region_count, slope_sum
 _GENERATION_ATTEMPTS = 64
 _MASK_FREE = "."
 _MASK_OBSTACLE = "#"
+_MASK_CHARS = str.maketrans("", "", _MASK_FREE + _MASK_OBSTACLE)  # deletes both
 
 
 class TerrainParseError(ValueError):
@@ -193,18 +194,13 @@ def parse_height_grid(text: str) -> HeightGrid:
         if len(rest) != 1 + rows:
             raise TerrainParseError(f"mask section: expected {rows} rows, found {len(rest) - 1}")
         mask = [line.strip() for line in rest[1:]]
-        # rows before the first one of the wrong length; a bad character in them is reported first
-        good = next((i for i, line in enumerate(mask) if len(line) != cols), rows)
-        encoded = "".join(mask[:good]).encode("utf-32-le", "surrogatepass")  # 4 bytes a character
-        chars = np.frombuffer(encoded, dtype=np.uint32).reshape(good, cols)
-        obstacle = chars == ord(_MASK_OBSTACLE)
-        invalid = np.flatnonzero(~obstacle & (chars != ord(_MASK_FREE)))
-        if invalid.size:
-            i, j = divmod(int(invalid[0]), cols)
-            raise TerrainParseError(f"mask row {i}: invalid character {mask[i][j]!r}")
-        if good < rows:
-            got = len(mask[good])
-            raise TerrainParseError(f"mask row {good}: expected {cols} characters, got {got}")
+        for i, line in enumerate(mask):
+            if len(line) != cols:
+                raise TerrainParseError(f"mask row {i}: expected {cols} characters, got {len(line)}")
+            invalid = line.translate(_MASK_CHARS)
+            if invalid:
+                raise TerrainParseError(f"mask row {i}: invalid character {invalid[0]!r}")
+        obstacle = np.frombuffer("".join(mask).encode("ascii"), np.uint8) == ord(_MASK_OBSTACLE)
     return HeightGrid(rows=rows, cols=cols, heights=values, obstacle=obstacle, spacing=spacing)
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import runpy
+import statistics
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -111,7 +112,9 @@ def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, ca
 def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypatch, capsys):
     """--against runs each workload in both checkouts in every round, this one
     first in even rounds, ten rounds, and writes one file per checkout here,
-    the other named by its short SHA."""
+    the other named by its short SHA. Then it prints, per workload and
+    end-to-end metric, both medians, the pairs won and lost and the other
+    checkout's interquartile range."""
     module = load_bench_snapshot()
     here = fake_checkout(tmp_path / "here", ["a", "b"])
     there = fake_checkout(tmp_path / "there", ["a", "b", "c"])
@@ -120,16 +123,22 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     monkeypatch.setattr(module, "git", lambda root, *args: short_shas.get(root.name)
                         if args == ("rev-parse", "--short", "HEAD") else None)
     monkeypatch.chdir(here)
+    end_to_end = [{"name": "wall_s", "better": "lower"}, {"name": "cells_per_s", "better": "higher"},
+                  {"name": "peak_rss_mb", "better": "lower"}]
+    (here / "BENCHMARK.json").write_text(json.dumps({"end_to_end": end_to_end}))
     calls = []
 
     def fake_run(workload, root):
         calls.append((workload, root.name))
         wall = 1.0 if root == here else 2.0
         return {"correct": True, "attempted": 4, "failed": 0,
-                "metrics": {"wall_s": {"value": wall + len(calls) / 1000, "unit": "s"}}}
+                "metrics": {"wall_s": {"value": wall + len(calls) / 1000, "unit": "s"},
+                            "cells_per_s": {"value": wall, "unit": "cells/s"},
+                            "peak_rss_mb": {"value": 50.0, "unit": "MB"}}}
 
     assert module.main(["new", "--against", "../there"], run=fake_run) == 0
-    assert capsys.readouterr().out.split("\n")[:2] == ["wrote BENCH_new.json", "wrote BENCH_0a1b2c3.json"]
+    out = capsys.readouterr().out.split("\n")
+    assert out[:2] == ["wrote BENCH_new.json", "wrote BENCH_0a1b2c3.json"]
     expected = []
     for k in range(10):
         for workload in module.WORKLOADS:
@@ -144,6 +153,15 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     for workload in module.WORKLOADS:
         assert [int(v) for v in new["workloads"][workload]["wall_s"]["runs"]] == [1] * 10
         assert [int(v) for v in old["workloads"][workload]["wall_s"]["runs"]] == [2] * 10
+        here_wall, there_wall = new["workloads"][workload]["wall_s"], old["workloads"][workload]["wall_s"]
+        q1, _, q3 = statistics.quantiles(there_wall["runs"], n=4, method="inclusive")
+        assert (f"{workload} wall_s (lower is better): new {here_wall['median']:.4g}, 0a1b2c3 "
+                f"{there_wall['median']:.4g}; new won 10 and lost 0 of 10 pairs; "
+                f"0a1b2c3 IQR {q3 - q1:.4g}") in out
+        assert (f"{workload} cells_per_s (higher is better): new 1, 0a1b2c3 2; new won 0 and lost 10 "
+                "of 10 pairs; 0a1b2c3 IQR 0") in out
+        assert (f"{workload} peak_rss_mb (lower is better): new 50, 0a1b2c3 50; new won 0 and lost 0 "
+                "of 10 pairs; 0a1b2c3 IQR 0") in out  # ties count for neither side
     with pytest.raises(SystemExit):
         module.main(["new", "--against", "../bare"], run=fake_run)  # no perfbench there
     assert "is not the root of a checkout" in capsys.readouterr().err

@@ -60,6 +60,17 @@ def test_half_way_grey_levels_round_to_even():
     assert text == render_svg_per_cell(grid, path)
 
 
+@pytest.mark.parametrize("cell_px", [0.0, -2.0, float("nan"), float("inf"), 1e308])
+def test_cell_size_must_keep_the_image_finite(cell_px):
+    """A 2x2 image of 1e308-pixel cells is infinitely wide, so it is refused
+    like a cell size that is not finite, before anything is drawn."""
+    grid, path = grid_of(np.zeros((2, 2))), CoveragePath(cells=[(0, 0)])
+    with pytest.raises(ValueError, match=re.escape(f"keep the 2x2 image size finite, got {cell_px}")):
+        render_svg(grid, path, cell_px=cell_px)
+    widest = render_svg(grid, path, cell_px=1e308 / 2)
+    assert 'width="1e+308" height="1e+308"' in widest and "inf" not in widest and "nan" not in widest
+
+
 @pytest.mark.filterwarnings("error")
 def test_span_overflow_raises_like_the_per_cell_renderer():
     grid = grid_of([[1e308, -1e308], [0.0, 5.0]])
