@@ -77,7 +77,11 @@ def _crossing_lines(cells: np.ndarray, s: float) -> str:
     down = (a[:, 1] == b[:, 1]) & (np.abs(a[:, 0] - b[:, 0]) == 1)
     step = down | ((a[:, 0] == b[:, 0]) & (np.abs(a[:, 1] - b[:, 1]) == 1))
     # row and column of each step's upper or left end, then 0 for right or 1 for down
-    r, c, down = np.unique(np.column_stack([np.minimum(a, b)[step], down[step]]), axis=0).T
+    keys = np.column_stack([np.minimum(a, b)[step], down[step]])
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    r, c, down = keys[first].T
     ends = (c, r, c + 1 - down, r + down)  # x1, y1, x2, y2 of each line
     texts = ('<line x1="{}" y1="', '{}" x2="', '{}" y2="',
              f'{{}}" stroke="{_TREE_STROKE}" stroke-width="{0.3 * s:g}"/>\n')

@@ -159,12 +159,30 @@ def _height_row(line: str, i: int, cols: int) -> list[float]:
         raise TerrainParseError(f"height row {i}: non-numeric value") from exc
 
 
+def _bulk_heights(lines: list[str], cols: int) -> np.ndarray | None:
+    """The heights of lines of cols numbers each, separated by single spaces,
+    read in one pass; None for any other text."""
+    if not lines[0]:  # loadtxt skips blank lines, and warns when none is left
+        return None
+    try:
+        values = np.loadtxt(lines, dtype=np.float64, delimiter=" ", comments=None,
+                            quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), cols) else None
+
+
 def parse_height_grid(text: str) -> HeightGrid:
     """Parse the terrain text format.
 
     Line 1 is ``N M spacing``; then N rows of M heights; then optionally a
     line ``MASK`` followed by N rows of ``.``/``#`` characters. A missing
     mask means all cells are free.
+
+    Height rows of M values separated by single spaces, as format_height_grid
+    writes them, are read in bulk; any other text goes through the row loop
+    below, which gives the same result and is the one source of every error
+    message.
     """
     lines = text.splitlines()
     while lines and not lines[-1].strip():
@@ -182,10 +200,13 @@ def parse_height_grid(text: str) -> HeightGrid:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     if len(lines) < 1 + rows:
         raise TerrainParseError(f"expected {rows} height rows, found {len(lines) - 1}")
-    # grows row by row, so a header larger than its text fails at its first
-    # short row without allocating the header's size
-    rows_of_values = (_height_row(lines[1 + i], i, cols) for i in range(rows))
-    values = np.fromiter(itertools.chain.from_iterable(rows_of_values), np.float64)
+    height_lines = lines[1 : 1 + rows]
+    values = _bulk_heights(height_lines, cols)
+    if values is None:
+        # grows row by row, so a header larger than its text fails at its first
+        # short row without allocating the header's size
+        rows_of_values = (_height_row(line, i, cols) for i, line in enumerate(height_lines))
+        values = np.fromiter(itertools.chain.from_iterable(rows_of_values), np.float64)
     obstacle = np.zeros((rows, cols), dtype=bool)
     rest = lines[1 + rows :]
     if rest:

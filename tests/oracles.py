@@ -14,7 +14,7 @@ import numpy as np
 
 from slopecover.coverage import CoveragePath, PathParseError
 from slopecover.graph import CoverageGraph, DisconnectedGridError, SpanningTree
-from slopecover.terrain import HeightGrid, MegaGrid
+from slopecover.terrain import HeightGrid, MegaGrid, TerrainParseError
 from slopecover.weights import WeightSpec
 
 
@@ -332,6 +332,49 @@ def parse_path_lines(text: str) -> CoveragePath:
     except OverflowError as exc:
         raise PathParseError("cell coordinate out of the int64 range") from exc
     return CoveragePath(cells=cells, closed=header[2] == "closed")
+
+
+def parse_height_lines(text: str) -> HeightGrid:
+    """The terrain reader with one `float()` per height, one row at a time,
+    as it stood before the bulk reader: the reference for every result and
+    every error message."""
+    lines = text.splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise TerrainParseError("empty terrain file")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise TerrainParseError(f"header must be 'N M spacing', got {lines[0]!r}")
+    try:
+        rows, cols, spacing = int(header[0]), int(header[1]), float(header[2])
+    except ValueError as exc:
+        raise TerrainParseError(f"malformed header {lines[0]!r}") from exc
+    if rows <= 0 or cols <= 0:
+        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
+    if len(lines) < 1 + rows:
+        raise TerrainParseError(f"expected {rows} height rows, found {len(lines) - 1}")
+    values: list[float] = []
+    for i, line in enumerate(lines[1 : 1 + rows]):
+        tokens = line.split()
+        if len(tokens) != cols:
+            raise TerrainParseError(f"height row {i}: expected {cols} values, got {len(tokens)}")
+        try:
+            values += [float(t) for t in tokens]
+        except ValueError as exc:
+            raise TerrainParseError(f"height row {i}: non-numeric value") from exc
+    obstacle = [[False] * cols for _ in range(rows)]
+    rest = lines[1 + rows :]
+    if rest:
+        if rest[0].strip() != "MASK":
+            raise TerrainParseError(f"expected 'MASK' or end of file, got {rest[0]!r}")
+        if len(rest) != 1 + rows:
+            raise TerrainParseError(f"mask section: expected {rows} rows, found {len(rest) - 1}")
+        obstacle = parse_mask_rows(rest[1:], cols)
+        if isinstance(obstacle, str):
+            raise TerrainParseError(obstacle)
+    return HeightGrid(rows=rows, cols=cols, heights=np.array(values, dtype=np.float64),
+                      obstacle=obstacle, spacing=spacing)
 
 
 def route_crossings(cells, closed: bool) -> set[tuple[tuple[int, int], tuple[int, int]]]:

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_fill_regions, label_regions, midpoint_displacement, parse_mask_rows
+from oracles import (
+    flood_fill_regions,
+    label_regions,
+    midpoint_displacement,
+    parse_height_lines,
+    parse_mask_rows,
+)
+from slopecover import terrain
 from slopecover.graph import average_slope, region_count, spanning_forest
 from slopecover.terrain import (
     HeightGrid,
@@ -202,6 +210,64 @@ class TestParsing:
     def test_mask_omitted_when_obstacle_free(self):
         grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=1.0)
         assert "MASK" not in format_height_grid(grid)
+
+
+def parse_outcome(parse, text):
+    """The error's type and message, or the heights' bits, the mask and the spacing."""
+    try:
+        grid = parse(text)
+    except ValueError as exc:  # TerrainParseError is one
+        return type(exc), str(exc)
+    return grid.heights.view(np.int64).tolist(), grid.obstacle.tolist(), grid.spacing
+
+
+@st.composite
+def written_grid_texts(draw) -> str:
+    """Terrain text of a random grid as format_height_grid writes it, or with
+    its heights rewritten in another format of single-space separated rows."""
+    rows, cols = draw(st.sampled_from([2, 4, 6])), draw(st.sampled_from([2, 4, 6]))
+    cells = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                     min_size=rows * cols, max_size=rows * cols)
+    flags = st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)
+    grid = HeightGrid(rows=rows, cols=cols, heights=draw(cells), obstacle=draw(flags),
+                      spacing=draw(st.floats(0.01, 100.0)))
+    lines = format_height_grid(grid).splitlines()
+    spec = draw(st.sampled_from(["%.9g", "%r", "%.17g", "%.3e", "%.12f"]))
+    lines[1 : 1 + rows] = [" ".join([spec] * cols) % tuple(row) for row in grid.heights.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+class TestBulkHeightReader:
+    """parse_height_grid against the row-by-row oracle: the same heights bit
+    for bit, mask and spacing, or the same error type and message, and no
+    numpy warning."""
+
+    @settings(max_examples=400)
+    @given(text=st.one_of(terrain_like_texts(), written_grid_texts()))
+    def test_matches_row_oracle(self, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_outcome(parse_height_grid, text) == parse_outcome(parse_height_lines, text)
+
+    @settings(max_examples=100)
+    @given(text=written_grid_texts())
+    def test_written_grids_are_read_in_bulk(self, text):
+        header, *lines = text.splitlines()
+        rows, cols = (int(n) for n in header.split()[:2])
+        assert terrain._bulk_heights(lines[:rows], cols) is not None
+
+    @pytest.mark.parametrize("mask", ["", "MASK\n.#\n..\n"])
+    @pytest.mark.parametrize("rows", [
+        ("1  2", "3 4"), (" 1 2", "3 4"), ("1 2 ", "3 4"), ("1\t2", "3 4"), ("1 \x0c 2", "3 4"),
+        ("1_0 2", "3 4"), ("", "3 4"), ("", ""), (" ", " "), ("1 nan", "3 4"), ("inf 2", "3 4"),
+        ("1e400 2", "3 4"), ("1 #", "3 4"), ("1 2#", "3 4"), ("# 1 2", "3 4"), ('"1" 2', "3 4"),
+        ("1", "2 3 4"),
+    ])
+    def test_edge_texts_match_row_oracle(self, rows, mask):
+        text = "2 2 1\n" + "\n".join(rows) + "\n" + mask
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_outcome(parse_height_grid, text) == parse_outcome(parse_height_lines, text)
 
 
 class TestHeightGridInvariants:
