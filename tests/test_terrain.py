@@ -213,11 +213,14 @@ class TestParsing:
 
 
 def parse_outcome(parse, text):
-    """The error's type and message, or the heights' bits, the mask and the spacing."""
-    try:
-        grid = parse(text)
-    except ValueError as exc:  # TerrainParseError is one
-        return type(exc), str(exc)
+    """The error's type and message, or the heights' bits, the mask and the
+    spacing; a warning is raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = parse(text)
+        except ValueError as exc:  # TerrainParseError is one
+            return type(exc), str(exc)
     return grid.heights.view(np.int64).tolist(), grid.obstacle.tolist(), grid.spacing
 
 
@@ -245,9 +248,7 @@ class TestBulkHeightReader:
     @settings(max_examples=400)
     @given(text=st.one_of(terrain_like_texts(), written_grid_texts()))
     def test_matches_row_oracle(self, text):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert parse_outcome(parse_height_grid, text) == parse_outcome(parse_height_lines, text)
+        assert parse_outcome(parse_height_grid, text) == parse_outcome(parse_height_lines, text)
 
     @settings(max_examples=100)
     @given(text=written_grid_texts())
@@ -265,9 +266,7 @@ class TestBulkHeightReader:
     ])
     def test_edge_texts_match_row_oracle(self, rows, mask):
         text = "2 2 1\n" + "\n".join(rows) + "\n" + mask
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert parse_outcome(parse_height_grid, text) == parse_outcome(parse_height_lines, text)
+        assert parse_outcome(parse_height_grid, text) == parse_outcome(parse_height_lines, text)
 
 
 class TestHeightGridInvariants:
