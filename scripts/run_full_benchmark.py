@@ -8,7 +8,7 @@ import argparse
 import time
 from pathlib import Path
 
-from slopecover.bench import BenchConfig, reported_trends, run_benchmark, write_csv
+from slopecover.bench import BenchConfig, run_benchmark, trend_statistics, write_csv
 
 
 def main() -> None:
@@ -33,15 +33,14 @@ def main() -> None:
     )
     started = time.perf_counter()
     records = run_benchmark(cfg)
-    trends = reported_trends(records)
     elapsed = time.perf_counter() - started
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(records, trends, out)
+    write_csv(records, out)
 
     print(f"wrote {len(records)} records to {out} in {elapsed:.1f}s")
-    for trend in trends:
+    for trend in trend_statistics(records):
         print(
             f"{trend.spec.token:11s} spearman(slope, gap)={trend.spearman_slope_gap:+.4f} "
             f"mean gap={trend.mean_gap:12.2f} mean ratio={trend.mean_gap_ratio:.6f}"

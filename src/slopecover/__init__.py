@@ -8,7 +8,7 @@ compares the weighted MST against a weight-blind baseline tree across seeded
 random terrains.
 """
 
-from slopecover.bench import BenchConfig, reported_trends, run_benchmark
+from slopecover.bench import BenchConfig, run_benchmark
 from slopecover.coverage import circumnavigate, path_cost
 from slopecover.graph import (DisconnectedGridError, average_slope, build_graph,
                               classical_spanning_tree, minimum_spanning_tree, tree_weight)
@@ -34,7 +34,6 @@ __all__ = [
     "minimum_spanning_tree",
     "path_cost",
     "render_svg",
-    "reported_trends",
     "run_benchmark",
     "tree_weight",
 ]

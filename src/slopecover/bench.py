@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -148,23 +147,18 @@ def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec
 
 
 def trend_statistics(records: Iterable[BenchRecord]) -> tuple[SpecTrend, ...]:
-    """Spearman rank correlation between avg_slope and gap per spec, plus means.
-
-    Requires MIN_TREND_RECORDS records per spec. A constant gap (or slope)
+    """Spearman rank correlation between avg_slope and gap per spec, plus means:
+    the trends a benchmark CSV reports. No trends, (), when there are no records or
+    some spec has fewer than MIN_TREND_RECORDS. A constant gap (or slope)
     yields correlation 0 rather than an undefined value.
     """
     by_spec: dict[WeightSpec, list[BenchRecord]] = {}
     for record in records:
         by_spec.setdefault(record.spec, []).append(record)
-    if not by_spec:
-        raise ValueError("no records")
+    if not by_spec or min(map(len, by_spec.values())) < MIN_TREND_RECORDS:
+        return ()
     trends = []
     for spec, group in by_spec.items():
-        if len(group) < MIN_TREND_RECORDS:
-            raise ValueError(
-                f"need at least {MIN_TREND_RECORDS} records per spec for a rank correlation, "
-                f"got {len(group)} for {spec.token}"
-            )
         slopes = np.array([r.avg_slope for r in group])
         gaps = np.array([r.gap for r in group])
         ratios = np.array([r.gap_ratio for r in group])
@@ -178,15 +172,6 @@ def trend_statistics(records: Iterable[BenchRecord]) -> tuple[SpecTrend, ...]:
             )
         )
     return tuple(trends)
-
-
-def reported_trends(records: Sequence[BenchRecord]) -> tuple[SpecTrend, ...]:
-    """The trends a benchmark CSV reports: trend_statistics(records) when
-    every spec has MIN_TREND_RECORDS records, none otherwise."""
-    counts = Counter(record.spec for record in records)
-    if counts and min(counts.values()) >= MIN_TREND_RECORDS:
-        return trend_statistics(records)
-    return ()
 
 
 def _rankdata(values: np.ndarray) -> np.ndarray:
@@ -204,19 +189,19 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.corrcoef(rx, ry)[0, 1])
 
 
-def format_csv(records: Sequence[BenchRecord], trends: Sequence[SpecTrend] = ()) -> str:
-    """Deterministic CSV: 6-decimal floats, one `# correlation,<spec>,<value>`
-    comment line per spec appended after the data rows."""
+def format_csv(records: Sequence[BenchRecord]) -> str:
+    """Deterministic CSV: 6-decimal floats, then one `# correlation,<spec>,<value>`
+    comment line per spec of trend_statistics(records) after the data rows."""
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
             f"{r.terrain_index},{r.seed},{r.avg_slope:.6f},{r.spec.token},"
             f"{r.classical_weight:.6f},{r.mst_weight:.6f},{r.gap:.6f},{r.gap_ratio:.6f}"
         )
-    for trend in trends:
+    for trend in trend_statistics(records):
         lines.append(f"# correlation,{trend.spec.token},{trend.spearman_slope_gap:.6f}")
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records: Sequence[BenchRecord], trends: Sequence[SpecTrend], path: str | Path) -> None:
-    Path(path).write_text(format_csv(records, trends), encoding="utf-8", newline="\n")
+def write_csv(records: Sequence[BenchRecord], path: str | Path) -> None:
+    Path(path).write_text(format_csv(records), encoding="utf-8", newline="\n")

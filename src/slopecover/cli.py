@@ -106,12 +106,11 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(handler=cmd_plan)
 
     bench = sub.add_parser("bench", help="run the MST-vs-baseline benchmark, emit CSV")
-    for key, field in _BENCH_FIELDS.items():
+    for key, field in _BENCH_FIELDS.items():  # _bench_value converts flag and file text alike
+        default = field.default
         if key == "weights":
-            kind, default = None, ",".join(spec.token for spec in field.default)
-        else:
-            kind, default = type(field.default), field.default
-        bench.add_argument("--" + key.replace("_", "-"), type=kind, default=None,
+            default = ",".join(spec.token for spec in default)
+        bench.add_argument("--" + key.replace("_", "-"), default=None,
                            help=f"{_BENCH_HELP[key]} (default {default})")
     bench.add_argument(
         "--config",
@@ -197,11 +196,11 @@ def _read_bench_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _bench_value(key: str, value: object) -> object:
+def _bench_value(key: str, value: str) -> object:
     """A config file or flag value as its BenchConfig field's type; weights by token."""
     try:
         if key == "weights":
-            tokens = (token.strip() for token in str(value).split(","))
+            tokens = (token.strip() for token in value.split(","))
             return tuple(WeightSpec.from_token(token) for token in tokens if token)
         return type(_BENCH_FIELDS[key].default)(value)
     except ValueError as exc:
@@ -221,11 +220,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(EXIT_USAGE, f"invalid benchmark config: {exc}")
     records = bench_mod.run_benchmark(cfg)
-    trends = bench_mod.reported_trends(records)
     if args.output:
-        bench_mod.write_csv(records, trends, args.output)
+        bench_mod.write_csv(records, args.output)
     else:
-        sys.stdout.write(bench_mod.format_csv(records, trends))
+        sys.stdout.write(bench_mod.format_csv(records))
     return EXIT_OK
 
 

@@ -168,9 +168,11 @@ class SpanningTree:
 
 
 def minimum_spanning_tree(g: CoverageGraph, weights: np.ndarray) -> SpanningTree:
-    """The minimum spanning tree under weights (graph.weights of some spec),
-    ties broken by edge index: the tree stable Kruskal builds. Raises
-    DisconnectedGridError unless the free cells form exactly one region."""
+    """The minimum spanning tree under weights, one per edge (graph.weights of
+    some spec), ties broken by edge index: the tree stable Kruskal builds.
+    Raises DisconnectedGridError unless the free cells form exactly one region."""
+    if len(weights) != len(g.edges):
+        raise ValueError(f"{len(weights)} weights for a graph of {len(g.edges)} edges")
     n = len(g.nodes)
     edges = spanning_forest(n, g.edges[:, 0], g.edges[:, 1], weights)
     if len(edges) != n - 1:  # each forest edge merged two regions
@@ -221,6 +223,8 @@ def tree_weight(tree: SpanningTree, weights: np.ndarray) -> float:
 
     The weights need not be the ones the tree was built with; the baseline
     tree is built weight-blind but costed with slope-aware weights. Raises
-    ValueError when the total is not finite.
+    ValueError when the total is not finite or there is not one weight per edge.
     """
+    if len(weights) != len(tree.graph.edges):
+        raise ValueError(f"{len(weights)} weights for a graph of {len(tree.graph.edges)} edges")
     return total_weight(weights[tree.edges], "tree_weight")

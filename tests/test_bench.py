@@ -13,7 +13,6 @@ from slopecover.bench import (
     BenchConfig,
     BenchRecord,
     format_csv,
-    reported_trends,
     run_benchmark,
     trend_statistics,
 )
@@ -210,27 +209,27 @@ class TestTrends:
         assert trend.mean_gap_ratio == pytest.approx(1.02)
         assert trend.count == 3
 
-    def test_insufficient_data_rejected(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            trend_statistics(self.make_records([1.0, 2.0]))
-        with pytest.raises(ValueError, match="no records"):
-            trend_statistics([])
-
-
-    def test_reported_trends_need_three_records_per_spec(self):
-        assert reported_trends([]) == ()
-        assert reported_trends(self.make_records([1.0, 2.0])) == ()
+    def test_insufficient_data_gives_no_trends(self):
+        assert trend_statistics([]) == ()
+        assert trend_statistics(self.make_records([1.0, 2.0])) == ()
         records = self.make_records([1.0, 2.0, 4.0])
-        assert reported_trends(records) == trend_statistics(records)
         short = records + self.make_records([1.0, 2.0], spec=WeightSpec.SLOPE_PENALTY)
-        assert reported_trends(short) == ()
+        assert trend_statistics(short) == ()
+
+    def test_csv_correlation_lines_need_three_records_per_spec(self):
+        records = self.make_records([1.0, 2.0, 4.0])
+        penalty = self.make_records([1.0, 2.0, 4.0], spec=WeightSpec.SLOPE_PENALTY)
+        for batch, correlations in [([], 0), (records[:2], 0), (records + penalty[:2], 0),
+                                    (records, 1), (records + penalty, 2)]:
+            comments = [line for line in format_csv(batch).splitlines() if line.startswith("#")]
+            assert len(comments) == correlations
+            assert all(line.startswith("# correlation,") for line in comments)
 
 
 class TestCsv:
     def test_header_and_shape(self):
         records = run_benchmark(small_config())
-        trends = trend_statistics(records)
-        lines = format_csv(records, trends).splitlines()
+        lines = format_csv(records).splitlines()
         assert lines[0] == CSV_HEADER
         data = [line for line in lines[1:] if not line.startswith("#")]
         comments = [line for line in lines[1:] if line.startswith("#")]
@@ -247,6 +246,6 @@ class TestCsv:
             assert len(token.split(".")[1]) == 6
 
     def test_byte_identical_across_runs(self):
-        a = format_csv(run_benchmark(small_config()), trend_statistics(run_benchmark(small_config())))
-        b = format_csv(run_benchmark(small_config()), trend_statistics(run_benchmark(small_config())))
+        a = format_csv(run_benchmark(small_config()))
+        b = format_csv(run_benchmark(small_config()))
         assert a == b

@@ -321,8 +321,15 @@ class TestBench:
              "weights: unknown weight spec 'foo' (expected one of: unit, pythagoras, penalty)"),
             ("", ["--seed", "-1"], "seed must be non-negative, got -1"),
             ("seed = -1\n", [], "seed must be non-negative, got -1"),
+            # a flag's text goes through the same converter as the file's
+            ("", ["--rows", "abc"], "rows: invalid literal for int() with base 10: 'abc'"),
+            ("", ["--terrains", "1.5"], "terrains: invalid literal for int() with base 10: '1.5'"),
+            ("", ["--spacing", "x"], "spacing: could not convert string to float: 'x'"),
+            ("", ["--weights", "unit,foo"],
+             "weights: unknown weight spec 'foo' (expected one of: unit, pythagoras, penalty)"),
         ],
-        ids=["rows-abc", "terrains-1.5", "spacing-x", "weights-foo", "flag-seed-1", "file-seed-1"],
+        ids=["rows-abc", "terrains-1.5", "spacing-x", "weights-foo", "flag-seed-1", "file-seed-1",
+             "flag-rows-abc", "flag-terrains-1.5", "flag-spacing-x", "flag-weights-foo"],
     )
     def test_bad_value_names_its_key_exit_2(self, tmp_path, capsys, config, flags, message):
         cfg = tmp_path / "bench.cfg"
@@ -553,3 +560,4 @@ def test_bench_trace_builds_one_mst_per_terrain_and_spec(tmp_path, capsys, monke
     assert bench["spanning.minimum_spanning_tree.calls"] == 6
     assert bench["spanning.classical_spanning_tree.calls"] == 3
     assert bench["spanning.tree_weight.calls"] == 12
+    assert bench["bench.trend_statistics.calls"] == 1  # format_csv calls it as a bench global

@@ -236,6 +236,17 @@ def test_nan_weights_raise_instead_of_looping():
         minimum_spanning_tree(g, np.full(len(g.edges), np.nan))
 
 
+@pytest.mark.parametrize("extra", [1, -1], ids=["longer", "shorter"])
+def test_weights_of_another_length_raise(extra):
+    g = build_graph(mega(np.zeros((2, 2))))  # 4 edges
+    weights = np.ones(len(g.edges) + extra)
+    message = f"^{len(weights)} weights for a graph of 4 edges$"
+    with pytest.raises(ValueError, match=message):
+        minimum_spanning_tree(g, weights)
+    with pytest.raises(ValueError, match=message):
+        tree_weight(classical_spanning_tree(g), weights)
+
+
 def assert_same_dfs_tree(blocked: np.ndarray) -> None:
     """classical_spanning_tree builds the tuple-stack tree byte for byte on a
     one-region mask, and both raise with the flood-fill region count on any other."""
