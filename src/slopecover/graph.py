@@ -128,10 +128,20 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
 
 
 def region_count(blocked: np.ndarray) -> int:
-    """Number of 4-connected regions of a mega blocked mask's free cells; 0 when none is."""
-    edges, _ = _free_edges(~blocked)
-    n = blocked.size - np.count_nonzero(blocked)
-    return n - len(spanning_forest(n, edges[:, 0], edges[:, 1], np.zeros(len(edges))))
+    """Number of 4-connected regions of a mega blocked mask's free cells; 0 when none is.
+
+    Each run of free cells in a row, joined by its 4-adjacent free pairs, is one
+    node. One edge joins each vertically adjacent pair of runs that differs from
+    the pair to its left, and the spanning forest counts the regions.
+    """
+    free = ~blocked
+    right, down = adjacent_pairs(free)
+    starts = free.copy()
+    starts[:, 1:] &= ~right
+    run = np.cumsum(starts).reshape(free.shape) - 1
+    down[:, 1:] &= ~down[:, :-1]  # a pair to the left joins the same two runs
+    n = np.count_nonzero(starts)
+    return n - len(spanning_forest(n, run[:-1][down], run[1:][down], np.zeros(np.count_nonzero(down))))
 
 
 def slope_sum(heights: np.ndarray, blocked: np.ndarray) -> tuple[float, int]:

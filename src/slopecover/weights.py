@@ -108,11 +108,16 @@ def _hypot(d: float, diff: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x as high + low, each with at most 26 significant bits (Dekker's split)."""
+    t = x * _SPLIT
+    high = t - (t - x)
+    return high, x - high
+
+
 def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x * x as an unevaluated sum hi + lo (Dekker's mul12 on split halves)."""
-    t = x * _SPLIT
-    hi = t - (t - x)
-    lo = x - hi
+    hi, lo = _split(x)
     p = hi * hi
     q = hi * lo
     q += q  # hi * lo + lo * hi: doubling is exact

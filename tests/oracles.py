@@ -377,6 +377,20 @@ def parse_height_lines(text: str) -> HeightGrid:
                       obstacle=obstacle, spacing=spacing)
 
 
+def format_height_template(grid: HeightGrid) -> str:
+    """The terrain writer as one Python `%` over a row template and a tuple of
+    every height, as it stood before the array writer: the reference for
+    format_height_grid's bytes."""
+    row = " ".join(["%.9g"] * grid.cols) + "\n"
+    text = f"{grid.rows} {grid.cols} {grid.spacing:.9g}\n"
+    text += (row * grid.rows) % tuple(grid.heights.ravel().tolist())
+    if grid.obstacle.any():
+        mask = np.full((grid.rows, grid.cols + 1), ord("\n"), dtype=np.uint8)
+        mask[:, :-1] = np.where(grid.obstacle, ord("#"), ord("."))
+        text += "MASK\n" + mask.tobytes().decode("ascii")
+    return text
+
+
 def route_crossings(cells, closed: bool) -> set[tuple[tuple[int, int], tuple[int, int]]]:
     """The 4-adjacent mega-cell pairs a route steps across, upper or left end
     first, found one step at a time on Python ints."""

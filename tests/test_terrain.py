@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     flood_fill_regions,
+    format_height_template,
     label_regions,
     midpoint_displacement,
     parse_height_lines,
     parse_mask_rows,
 )
 from slopecover import terrain
+from slopecover.bench import BenchConfig
 from slopecover.graph import average_slope, region_count, spanning_forest
 from slopecover.terrain import (
     HeightGrid,
@@ -25,6 +28,7 @@ from slopecover.terrain import (
     TerrainParseError,
     _midpoint_displacement,
     aggregate,
+    blocked_mega_cells,
     format_height_grid,
     generate_terrain,
     parse_height_grid,
@@ -212,6 +216,93 @@ class TestParsing:
         assert "MASK" not in format_height_grid(grid)
 
 
+
+def _ninth_digit_ties() -> list[float]:
+    """Heights exactly halfway between two 9-digit decimals, (N + 0.5) * 10**-k
+    for an even and an odd N at each k: m / 2**(k + 1) with m = 2N + 1 an odd
+    multiple of 5**k."""
+    ties = []
+    for k in range(13):
+        least = -(-(2 * 10**8 + 1) // 5**k) | 1  # the least odd m with N >= 10**8
+        for m in (least, least + 2):
+            tie = m / 2 ** (k + 1)
+            assert Fraction(tie) * 10**k % 1 == Fraction(1, 2) and 10**8 <= tie * 10**k < 10**9
+            ties.append(tie)
+    return ties
+
+
+def _rounded_ties() -> list[float]:
+    """Heights x whose x * 10**p rounds to exactly I + 0.5 without being it, one
+    above and one below at each p: only the product's rounding error says which
+    way %.9g rounds them."""
+    found = []
+    for p in range(1, 13):
+        sides = {}
+        for i in range(123456789, 123466789):
+            x = (i + 0.5) / 10.0**p
+            error = Fraction(x) * 10**p - Fraction(i) - Fraction(1, 2)
+            if x * 10.0**p == i + 0.5 and error:
+                sides.setdefault(error > 0, x)
+            if len(sides) == 2:
+                break
+        assert len(sides) == 2
+        found += sides.values()
+    return found
+
+
+_POWERS_OF_TEN = [float(v) for k in range(-5, 11)
+                  for v in (np.nextafter(10.0**k, 0.0), 10.0**k, np.nextafter(10.0**k, np.inf))]
+_BOUNDARY_HEIGHTS = {
+    "zeros-and-subnormals": [0.0, -0.0, 5e-324, -2.5e-310],
+    "powers-of-ten-and-neighbours": _POWERS_OF_TEN,
+    "fixed-notation-edges": [1e-4, 9.99999999e-5, 99999999.95, 999999999.5],
+    "ninth-digit-ties": _ninth_digit_ties(),
+    "rounded-ties": _rounded_ties(),
+}
+
+
+def _grid_of(values: list[float], rows: int = 2) -> HeightGrid:
+    """The values and their negations, repeated to fill a grid of even sides."""
+    heights = np.array(values + [-v for v in values])
+    heights = np.resize(heights, -(-len(heights) // (2 * rows)) * 2 * rows).reshape(rows, -1)
+    return HeightGrid(rows=rows, cols=heights.shape[1], heights=heights,
+                      obstacle=np.zeros(heights.shape, dtype=bool), spacing=1.0)
+
+
+class TestFormat:
+    @settings(max_examples=300)
+    @given(shape=st.sampled_from([(2, 2), (2, 4), (4, 2), (4, 6), (6, 4)]), data=st.data())
+    def test_matches_template_on_finite_heights(self, shape, data):
+        size = shape[0] * shape[1]
+        heights = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=size, max_size=size))
+        obstacle = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        grid = HeightGrid(rows=shape[0], cols=shape[1], heights=heights, obstacle=obstacle, spacing=1.0)
+        assert format_height_grid(grid) == format_height_template(grid)
+
+    @pytest.mark.parametrize("values", _BOUNDARY_HEIGHTS.values(), ids=_BOUNDARY_HEIGHTS.keys())
+    def test_boundary_heights_match_template(self, values):
+        grid = _grid_of(values)
+        assert format_height_grid(grid) == format_height_template(grid)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_grids_match_template(self, zero):
+        grid = HeightGrid(rows=4, cols=6, heights=np.full((4, 6), zero),
+                          obstacle=np.zeros((4, 6), dtype=bool), spacing=1.0)
+        text = format_height_grid(grid)
+        assert text == format_height_template(grid)
+        assert text.splitlines()[1] == " ".join([f"{zero:.9g}"] * 6)
+
+    @pytest.mark.parametrize("shape", [(130, 130), (2, 16390)])
+    def test_matches_template_across_blocks(self, shape):
+        # rows that straddle the kernel's blocks, with exponent-notation heights in several
+        rng = np.random.default_rng(21)
+        heights = rng.normal(0.0, 20.0, shape) * 10.0 ** rng.choice([0, 0, 0, 0, -7, 12], shape)
+        grid = HeightGrid(rows=shape[0], cols=shape[1], heights=heights,
+                          obstacle=rng.random(shape) < 0.05, spacing=0.5)
+        assert grid.heights.size > terrain._FORMAT_BLOCK
+        assert format_height_grid(grid) == format_height_template(grid)
+
 def parse_outcome(parse, text):
     """The error's type and message, or the heights' bits, the mask and the
     spacing; a warning is raised as an error."""
@@ -357,14 +448,49 @@ def regions(mask: np.ndarray) -> int:
 class TestRegionCount:
     @settings(max_examples=300)
     @given(
-        rows=st.integers(min_value=1, max_value=12),
-        cols=st.integers(min_value=1, max_value=12),
+        rows=st.integers(min_value=1, max_value=40),
+        cols=st.integers(min_value=1, max_value=40),
         density=st.floats(min_value=0.0, max_value=1.0),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_region_count_matches_flood_fill(self, rows, cols, density, seed):
         mask = np.random.default_rng(seed).random((rows, cols)) < density
         assert regions(mask) == flood_fill_regions(mask)
+
+    @pytest.mark.parametrize("picture, count", [
+        # a comb and a U: runs that touch through several vertical contacts
+        ([".#.#.#.", ".#.#.#.", "......."], 1),
+        ([".##.", ".##.", "....", "...."], 1),
+        (["......", "#....#", "......"], 1),
+        # a staircase of runs that touch at one column, and one that touches only at corners
+        (["..####", "#..###", "##..##", "###..#", "####.."], 1),
+        (["..####", "##..##", "####.."], 3),
+        # runs split by a single blocked cell
+        (["...#..."], 2),
+        (["...#...", "...#..."], 2),
+        (["...#...", "......."], 1),
+        (["..#..", ".#.#.", "..#.."], 3),
+        # all free and all blocked
+        (["." * 40] * 40, 1),
+        (["#" * 40] * 40, 0),
+    ], ids=["comb", "u", "wide-contact", "staircase", "corners-only", "split-row", "split-column",
+            "split-then-joined", "split-around", "all-free", "all-blocked"])
+    def test_targeted_masks(self, picture, count):
+        mask = np.array([[ch == "." for ch in line] for line in picture])
+        assert regions(mask) == regions(mask.T) == flood_fill_regions(mask) == count
+
+    @pytest.mark.parametrize("side, obstacles, roughness", [(1000, 60, 0.3), (250, 15, 0.3), (500, 40, 0.2)],
+                             ids=["plan-1000", "plan-1000-warmup", "render-500"])
+    def test_benchmark_terrains_form_one_region(self, side, obstacles, roughness):
+        # the terrains perfbench's set-up writes at seed 42
+        spec = TerrainGenSpec(rows=side, cols=side, seed=42, max_obstacles=obstacles, roughness=roughness)
+        blocked = blocked_mega_cells(generate_terrain(spec).obstacle)
+        assert region_count(blocked) == flood_fill_regions(~blocked) == 1
+
+    def test_paper_terrains_form_one_region(self):
+        for spec in BenchConfig(seed=42).terrain_specs():
+            blocked = blocked_mega_cells(generate_terrain(spec).obstacle)
+            assert region_count(blocked) == flood_fill_regions(~blocked) == 1
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 12), (12, 1), (12, 12), (5, 7)])
     @pytest.mark.parametrize("free", [True, False])
