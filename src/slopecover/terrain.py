@@ -267,7 +267,8 @@ _LOW_BYTES = np.tril(np.full((9, 8), 0xFF, dtype=np.uint8), -1).view("<u8").rave
 _BEFORE_POINT = _LOW_BYTES[np.where(_E < 0, 8, _E)]
 _ZEROS = np.where(_E < 0, 0, np.frombuffer(b"00000000", "<u8")[0])
 _SHIFT = np.where(_E < 0, 48, 8).astype(np.uint64)
-_PREFIX = np.where(_E < 0, np.frombuffer(b"\x000.000\x00\x00", "<u8")[0] & _LOW_BYTES[np.clip(2 - _E, 0, 8)], 0)
+_PREFIX = np.where(_E < 0, np.frombuffer(b"\x000.000\x00\x00", "<u8")[0] & _LOW_BYTES[np.clip(2 - _E, 0, 8)],
+                   0)
 _POINT = np.where(np.arange(16) == _E[:, None] + 2, ord("."), 0).astype(np.uint8).view("<u8")
 _SPACE, _NEWLINE = np.uint64(ord(" ") << 56), np.uint64(ord("\n") << 56)
 _ONE_VALUE = np.frombuffer(b"%.9g\x00\x00\x00\x00", "<u8")[0]

@@ -216,7 +216,6 @@ class TestParsing:
         assert "MASK" not in format_height_grid(grid)
 
 
-
 def _ninth_digit_ties() -> list[float]:
     """Heights exactly halfway between two 9-digit decimals, (N + 0.5) * 10**-k
     for an even and an odd N at each k: m / 2**(k + 1) with m = 2N + 1 an odd
@@ -302,6 +301,7 @@ class TestFormat:
                           obstacle=rng.random(shape) < 0.05, spacing=0.5)
         assert grid.heights.size > terrain._FORMAT_BLOCK
         assert format_height_grid(grid) == format_height_template(grid)
+
 
 def parse_outcome(parse, text):
     """The error's type and message, or the heights' bits, the mask and the
