@@ -249,7 +249,7 @@ def format_height_grid(grid: HeightGrid) -> str:
 # is "-" or NUL and byte 15 is " " or "\n". For E >= 0 the first digit is at byte 1,
 # the E digits after it at bytes 2 to E + 1, the point at E + 2 and the fraction after
 # it; for E < 0, "0." and -E - 1 zeros are at bytes 1 to 5 and the 9 digits at 6 to 14.
-_FORMAT_BLOCK = 1 << 14  # heights per array pass; one pass over all of them ran 3.6x slower
+_FORMAT_BLOCK = 1 << 14  # heights per array pass; one pass over all 1000² of them ran 1.5x slower
 _POW10 = 10.0 ** np.arange(23)
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
 # the ASCII of each 4-digit group, first digit in the low byte; from 10_000 + group
