@@ -39,7 +39,7 @@ def main() -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(records, out)
 
-    print(f"wrote {len(records)} records to {out} in {elapsed:.1f}s")
+    print(f"wrote {len(records)} records to {out} in {elapsed * 1000:.0f} ms")
     for trend in trend_statistics(records):
         print(
             f"{trend.spec.token:11s} spearman(slope, gap)={trend.spearman_slope_gap:+.4f} "

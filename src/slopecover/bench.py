@@ -115,8 +115,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
 
 def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec]) -> list[BenchRecord]:
     """One terrain's records. Its graph and weight-blind baseline serve every
-    spec, and each spec is priced once and gets its own MST. Nothing of this
-    terrain outlives the call."""
+    spec, and each spec gets its own MST. All specs are priced in one call, so
+    the distances are computed once. Nothing of this terrain outlives the call."""
     try:
         grid = generate_terrain(terrain)
     except TerrainGenerationError as exc:
@@ -126,8 +126,7 @@ def _terrain_records(i: int, terrain: TerrainGenSpec, specs: Sequence[WeightSpec
     graph = build_graph(mega)
     baseline = classical_spanning_tree(graph)
     records = []
-    for spec in specs:
-        weights = graph.weights(spec)
+    for spec, weights in zip(specs, graph.spec_weights(specs)):
         mst = minimum_spanning_tree(graph, weights)
         mst_weight = tree_weight(mst, weights)
         classical_weight = tree_weight(baseline, weights)

@@ -96,18 +96,19 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
     """The states of the permutation successor's cycle through state 0, in
     walk order from 0.
 
-    List ranking by a ruling set: state 0 and a share _RULER_SHARE of the
-    states, drawn by a seeded generator (not every k-th index, whose gaps a
-    corridor can stretch to the grid's length), are rulers. Walkers start
-    from every ruler at once and step in array rounds until each reaches the
-    next ruler, recording for every state it passes its owner (the ruler's
-    rank among the rulers) and its distance from it. One Python loop then
-    follows the ruler chain from state 0, each ruler's position being the sum
-    of the gaps before it, and a scatter puts every state at its owner's
-    position plus its distance.
+    List ranking by a ruling set: state 0 and about a share _RULER_SHARE of
+    the states, their positions drawn by a seeded generator (not every k-th
+    index, whose gaps a corridor can stretch to the grid's length), are
+    rulers. Walkers start from every ruler at once and step in array rounds
+    until each reaches the next ruler, recording for every state it passes
+    its owner (the ruler's rank among the rulers) and its distance from it.
+    One Python loop then follows the ruler chain from state 0, each ruler's
+    position being the sum of the gaps before it, and a scatter puts every
+    state at its owner's position plus its distance.
     """
     states = len(successor)
-    ruler = np.random.default_rng(0).random(states) < _RULER_SHARE
+    ruler = np.zeros(states, dtype=bool)
+    ruler[np.random.default_rng(0).integers(states, size=int(states * _RULER_SHARE))] = True
     ruler[0] = True
     rulers = np.flatnonzero(ruler)
     owner = np.full(states, len(rulers))  # rank len(rulers): on a cycle without a ruler
@@ -141,8 +142,13 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
 
 def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
     """Sum of edge weights over consecutive fine cells (cyclically when closed),
-    added in route order. Raises ValueError when the total is not finite."""
-    heights = grid.heights[path.cells[:, 0], path.cells[:, 1]]
+    added in route order. Raises ValueError, naming the first cell outside the
+    grid if there is one, or when the total is not finite."""
+    try:
+        heights = grid.heights.ravel().take(np.ravel_multi_index(path.cells.T, grid.heights.shape))
+    except ValueError:  # a cell outside the grid
+        i = ((path.cells < 0) | (path.cells >= grid.heights.shape)).any(axis=1).argmax()
+        raise ValueError(f"cell {path.cells[i, 0]},{path.cells[i, 1]} lies outside the grid") from None
     if len(heights) < 2:
         return 0.0
     following = np.roll(heights, -1) if path.closed else heights[1:]

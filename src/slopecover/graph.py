@@ -4,11 +4,11 @@ demand, and its spanning trees: the weighted MST and a weight-blind baseline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from slopecover.weights import WeightSpec, edge_weights, total_weight
+from slopecover.weights import WeightSpec, spec_weights, total_weight
 
 if TYPE_CHECKING:
     from slopecover.terrain import MegaGrid
@@ -42,9 +42,13 @@ class CoverageGraph:
 
     def weights(self, spec: WeightSpec) -> np.ndarray:
         """edge_weights under spec of every edge, in canonical order."""
+        return self.spec_weights((spec,))[0]
+
+    def spec_weights(self, specs: Sequence[WeightSpec]) -> list[np.ndarray]:
+        """weights(spec) of each spec, with the distances computed once for all."""
         node_heights = self.mega.heights[~self.mega.blocked]
         a, b = self.edges.T
-        return edge_weights(spec, node_heights[a], node_heights[b], self.mega.spacing)
+        return spec_weights(specs, node_heights[a], node_heights[b], self.mega.spacing)
 
 
 def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +96,8 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
 
     Borůvka rounds: each region takes its least-key edge and hooks to the
     region at its far end (a mutual pair's lower id is the root); pointer
-    jumping finds the roots and cumsum relabels them.
+    jumping finds the roots and cumsum relabels them. flatnonzero and take
+    compact the live edges and tied picks: faster than boolean masks here.
     """
     chosen = np.zeros(len(a), dtype=bool)
     edge = np.flatnonzero(a != b)  # live edges, ascending; self-loops never join
@@ -104,8 +109,8 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
         np.minimum.at(least, rb, w)
         pick = np.full(regions, len(edge))  # lowest live position at that weight; ascending, so lowest k
         for end in (ra, rb):
-            tied = w == least[end]
-            np.minimum.at(pick, end[tied], np.flatnonzero(tied))
+            tied = np.flatnonzero(w == least[end])
+            np.minimum.at(pick, end.take(tied), tied)
         region = np.flatnonzero(pick < len(edge))
         if not len(region):
             raise ValueError("edge weights must not be nan")
@@ -122,8 +127,8 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
         label = (np.cumsum(root) - 1)[parent]
         regions = int(root.sum())
         ra, rb = label[ra], label[rb]
-        live = ra != rb
-        edge, ra, rb, w = edge[live], ra[live], rb[live], w[live]
+        live = np.flatnonzero(ra != rb)
+        edge, ra, rb, w = edge.take(live), ra.take(live), rb.take(live), w.take(live)
     return np.flatnonzero(chosen)
 
 

@@ -128,26 +128,23 @@ class TerrainGenSpec:
 def aggregate(grid: HeightGrid) -> MegaGrid:
     """Collapse 2x2 fine-cell blocks into mega cells.
 
-    Mega height is the arithmetic mean of the four fine heights; a mega cell
-    is blocked if any of its four fine cells is an obstacle (conservative:
-    never plan over an obstacle). Spacing doubles.
+    Mega height is the arithmetic mean of the four fine heights, added in
+    one fixed order: ((top left + top right) + (bottom left + bottom right))
+    / 4. A mega cell is blocked if any of its four fine cells is an obstacle
+    (conservative: never plan over an obstacle). Spacing doubles.
     """
-    half_rows, half_cols = grid.rows // 2, grid.cols // 2
-    blocks = grid.heights.reshape(half_rows, 2, half_cols, 2)
-    mega_heights = blocks.mean(axis=(1, 3))
-    return MegaGrid(
-        rows=half_rows,
-        cols=half_cols,
-        heights=mega_heights,
-        blocked=blocked_mega_cells(grid.obstacle),
-        spacing=2.0 * grid.spacing,
-    )
+    return MegaGrid(rows=grid.rows // 2, cols=grid.cols // 2, heights=_block_means(grid.heights),
+                    blocked=blocked_mega_cells(grid.obstacle), spacing=2.0 * grid.spacing)
+
+
+def _block_means(h: np.ndarray) -> np.ndarray:
+    """Mean of each 2x2 block of h, in aggregate's order, from four strided views."""
+    return ((h[0::2, 0::2] + h[0::2, 1::2]) + (h[1::2, 0::2] + h[1::2, 1::2])) / 4
 
 
 def blocked_mega_cells(obstacle: np.ndarray) -> np.ndarray:
     """Mega-cell mask of a fine obstacle mask: True where any of the 2x2 cells is an obstacle."""
-    rows, cols = obstacle.shape
-    return obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
+    return (obstacle[0::2, 0::2] | obstacle[0::2, 1::2]) | (obstacle[1::2, 0::2] | obstacle[1::2, 1::2])
 
 
 def _height_row(line: str, i: int, cols: int) -> list[float]:
@@ -368,11 +365,9 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
         )
     # rescale so the aggregated average slope is spec.roughness; with no free
     # adjacent pair (a single mega cell) that target is undefined
-    mega = aggregate(HeightGrid(rows=spec.rows, cols=spec.cols, heights=field,
-                                obstacle=obstacle, spacing=spec.spacing))
-    total, count = slope_sum(mega.heights, mega.blocked)
+    total, count = slope_sum(_block_means(field), blocked_mega_cells(obstacle))
     if count > 0 and total > 0.0:
-        heights = field * (spec.roughness * mega.spacing * count / total)
+        heights = field * (spec.roughness * (2.0 * spec.spacing) * count / total)
     else:
         heights = field * spec.roughness
     if not np.isfinite(heights).all():
@@ -394,12 +389,14 @@ def _midpoint_displacement(rng: np.random.Generator, rows: int, cols: int) -> np
     step, scale = size, 1.0
     while step > 1:
         half = step // 2
-        # diamond then square, in half steps; off-lattice neighbours read 0 in both the
-        # lattice and its ones: they add +0.0 and count 0
+        # diamond then square, in half steps, on the lattice of spacing half bordered by
+        # zeros, and on its ones: off-lattice neighbours add +0.0 and count 0
+        lattice = np.zeros((size // half + 3, size // half + 3))
+        inside = np.zeros_like(lattice)
+        inside[1:-1, 1:-1] = 1.0
         for origins, offsets in (([(1, 1)], [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
                                  ([(0, 1), (1, 0)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
-            lattice = np.pad(field[::half, ::half], 1)
-            inside = np.pad(np.ones(field[::half, ::half].shape), 1)
+            lattice[1:-1, 1:-1] = field[::half, ::half]
             for r0, c0 in origins:
                 points = field[r0 * half :: step, c0 * half :: step]
                 total, count = np.zeros(points.shape), np.zeros(points.shape)

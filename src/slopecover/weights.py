@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -52,17 +53,24 @@ def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> 
     since np.hypot differs from it in the last bit on some inputs. Differences
     that overflow give inf.
     """
+    return spec_weights((spec,), h1, h2, d)[0]
+
+
+def spec_weights(specs: Sequence[WeightSpec], h1: np.ndarray, h2: np.ndarray, d: float) -> list[np.ndarray]:
+    """edge_weights(spec, h1, h2, d) of each spec, from one _hypot for all of them."""
     _check_distance(d)
+    weights, hyp = [], None
     with np.errstate(over="ignore"):
         diff = np.subtract(h1, h2, dtype=np.float64)
-        if spec is WeightSpec.UNIT:
-            return np.ones(len(diff))
-        hyp = _hypot(float(d), diff)
-        if spec is WeightSpec.PYTHAGORAS:
-            return hyp
-        if spec is WeightSpec.SLOPE_PENALTY:
-            return hyp * (1.0 + np.abs(diff) / d)
-    raise TypeError(f"not a WeightSpec: {spec!r}")
+        for spec in specs:
+            if spec is WeightSpec.UNIT:
+                weights.append(np.ones(len(diff)))
+            elif spec is WeightSpec.PYTHAGORAS or spec is WeightSpec.SLOPE_PENALTY:
+                hyp = _hypot(float(d), diff) if hyp is None else hyp
+                weights.append(hyp if spec is WeightSpec.PYTHAGORAS else hyp * (1.0 + np.abs(diff) / d))
+            else:
+                raise TypeError(f"not a WeightSpec: {spec!r}")
+    return weights
 
 
 _BLOCK = 1 << 12  # elements priced at a time; about 15 temporaries of this length live at once

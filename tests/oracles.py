@@ -526,3 +526,93 @@ def midpoint_displacement(rng: np.random.Generator, rows: int, cols: int) -> np.
         scale *= 0.5
         step = half
     return field[:rows, :cols].copy()
+
+
+def padded_midpoint_displacement(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """terrain._midpoint_displacement as it was before it reused one zeros
+    buffer per step: np.pad rebuilds the bordered lattice and its ones for
+    each phase. The bit-for-bit reference for the buffered version."""
+    size = 1
+    while size < max(rows, cols):
+        size *= 2
+    field = np.zeros((size + 1, size + 1), dtype=np.float64)
+    field[::size, ::size] = rng.standard_normal((2, 2))
+    step, scale = size, 1.0
+    while step > 1:
+        half = step // 2
+        for origins, offsets in (([(1, 1)], [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+                                 ([(0, 1), (1, 0)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
+            lattice = np.pad(field[::half, ::half], 1)
+            inside = np.pad(np.ones(field[::half, ::half].shape), 1)
+            for r0, c0 in origins:
+                points = field[r0 * half :: step, c0 * half :: step]
+                total, count = np.zeros(points.shape), np.zeros(points.shape)
+                for dr, dc in offsets:
+                    near = (slice(1 + r0 + dr, None, 2), slice(1 + c0 + dc, None, 2))
+                    total += lattice[near][: len(points), : points.shape[1]]
+                    count += inside[near][: len(points), : points.shape[1]]
+                points[...] = total / count + scale * rng.standard_normal(points.shape)
+        scale *= 0.5
+        step = half
+    return field[:rows, :cols].copy()
+
+
+def mean_block_heights(heights: np.ndarray) -> np.ndarray:
+    """Mega heights as numpy's mean over the reshaped 2x2 blocks, terrain.aggregate's
+    former kernel. numpy 2.4 adds in aggregate's order on grids of 4 or more columns,
+    and the four values in sequence on grids 2 columns wide."""
+    rows, cols = heights.shape
+    return heights.reshape(rows // 2, 2, cols // 2, 2).mean(axis=(1, 3))
+
+
+def any_blocked_blocks(obstacle: np.ndarray) -> np.ndarray:
+    """Mega blocked mask as numpy's any over the reshaped 2x2 blocks,
+    terrain.blocked_mega_cells's former kernel."""
+    rows, cols = obstacle.shape
+    return obstacle.reshape(rows // 2, 2, cols // 2, 2).any(axis=(1, 3))
+
+
+def block_means_per_cell(heights: np.ndarray) -> np.ndarray:
+    """Each 2x2 block's ((top left + top right) + (bottom left + bottom right)) / 4,
+    added on Python floats one block at a time."""
+    rows, cols = heights.shape
+    values = heights.tolist()
+    return np.array([[((values[i][j] + values[i][j + 1]) + (values[i + 1][j] + values[i + 1][j + 1])) / 4
+                      for j in range(0, cols, 2)] for i in range(0, rows, 2)]).reshape(rows // 2, cols // 2)
+
+
+def boolean_mask_spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """graph.spanning_forest as it was when boolean masks compacted the live
+    edges and the tied picks of each Borůvka round. The bit-for-bit reference
+    for the compaction by flatnonzero and take."""
+    chosen = np.zeros(len(a), dtype=bool)
+    edge = np.flatnonzero(a != b)
+    ra, rb, w = a[edge], b[edge], weights[edge]
+    regions = n
+    while len(edge):
+        least = np.full(regions, np.inf)
+        np.minimum.at(least, ra, w)
+        np.minimum.at(least, rb, w)
+        pick = np.full(regions, len(edge))
+        for end in (ra, rb):
+            tied = w == least[end]
+            np.minimum.at(pick, end[tied], np.flatnonzero(tied))
+        region = np.flatnonzero(pick < len(edge))
+        if not len(region):
+            raise ValueError("edge weights must not be nan")
+        j = pick[region]
+        chosen[edge[j]] = True
+        ids = np.arange(regions)
+        parent = ids.copy()
+        parent[region] = ra[j] + rb[j] - region
+        parent = np.where((parent[parent] == ids) & (ids < parent), ids, parent)
+        grand = parent[parent]
+        while not np.array_equal(grand, parent):
+            parent, grand = grand, grand[grand]
+        root = parent == ids
+        label = (np.cumsum(root) - 1)[parent]
+        regions = int(root.sum())
+        ra, rb = label[ra], label[rb]
+        live = ra != rb
+        edge, ra, rb, w = edge[live], ra[live], rb[live], w[live]
+    return np.flatnonzero(chosen)

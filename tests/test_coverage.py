@@ -292,6 +292,20 @@ class TestPathCost:
             for closed in (True, False):
                 assert path_cost(CoveragePath(cells=cells, closed=closed), grid, WeightSpec.UNIT) == 0.0
 
+    @pytest.mark.parametrize("cells, named", [
+        ([(-1, -1), (0, 0)], "-1,-1"),  # numpy would read the cell (1, 1)
+        ([(0, 0), (0, -1), (5, 0)], "0,-1"),
+        ([(0, 0), (0, 1), (0, 2)], "0,2"),
+        ([(1, 1), (2, 0), (-3, 0)], "2,0"),
+    ])
+    def test_cells_outside_the_grid_are_named(self, cells, named):
+        grid = HeightGrid(rows=2, cols=2, heights=[0, 1, 2, 5], obstacle=[False] * 4, spacing=1.0)
+        assert path_cost(CoveragePath(cells=[(1, 1), (0, 0)], closed=False), grid,
+                         WeightSpec.PYTHAGORAS) == math.sqrt(26.0)
+        for closed in (True, False):
+            with pytest.raises(ValueError, match=f"^cell {named} lies outside the grid$"):
+                path_cost(CoveragePath(cells=cells, closed=closed), grid, WeightSpec.PYTHAGORAS)
+
     def test_non_finite_cost_rejected(self):
         # the mega means are 0 and 0, but a fine step spans 2e308
         grid = HeightGrid(

@@ -133,6 +133,9 @@ def test_graph_is_topology_only():
         expected = [scalar_weight(spec, float(m.heights.flat[a]), float(m.heights.flat[b]), 2.0)
                     for a, b in g.edges.tolist()]
         assert g.weights(spec).tolist() == expected
+    # and prices them all at once, each as weights(spec) does
+    together = g.spec_weights(list(WeightSpec))
+    assert [w.tobytes() for w in together] == [g.weights(spec).tobytes() for spec in WeightSpec]
 
 
 def test_arrays_read_only():

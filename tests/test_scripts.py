@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import os
+import re
 import runpy
 import statistics
 import sys
@@ -43,7 +44,9 @@ def test_run_full_benchmark_matches_cli_bench(tmp_path, monkeypatch, capsys):
     size = ["--terrains", "3", "--rows", "32", "--cols", "32"]
     out = tmp_path / "bench.csv"
     run_script("run_full_benchmark.py", [*size, "--out", str(out)], monkeypatch)
-    assert "wrote 6 records" in capsys.readouterr().out
+    # the elapsed time in whole milliseconds, so a gain of a tenth of a second shows
+    assert re.fullmatch(rf"wrote 6 records to {re.escape(str(out))} in \d+ ms",
+                        capsys.readouterr().out.splitlines()[0])
     # the script's defaults are the paper's: master seed 42, 30 obstacles
     cli_out = tmp_path / "cli.csv"
     assert main(["bench", "--seed", "42", "--obstacles", "30", *size, "-o", str(cli_out)]) == 0

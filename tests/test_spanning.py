@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    boolean_mask_spanning_forest,
     brute_force_min_spanning_weight,
     flood_fill_regions,
     mega,
@@ -25,6 +26,7 @@ from slopecover.graph import (
     build_graph,
     classical_spanning_tree,
     minimum_spanning_tree,
+    spanning_forest,
     tree_weight,
 )
 from slopecover.terrain import TerrainGenSpec, aggregate, generate_terrain
@@ -228,6 +230,38 @@ def test_different_rises_with_equal_weights_keep_index_order(heights, spacing, s
     assert mst(g, spec).edges.tolist() == [0, 1, 2]
     assert_old_kruskal(g, spec)
 
+
+
+def assert_same_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> None:
+    got, expected = spanning_forest(n, a, b, weights), boolean_mask_spanning_forest(n, a, b, weights)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    loops=st.floats(min_value=0.0, max_value=1.0),
+    levels=st.sampled_from([(0.0,), (0.0, 1.0), (1.0, 2.0, 3.0), (-1.0, 0.0, np.inf),
+                            tuple(np.linspace(0.0, 1.0, 7)), (0.5, 1e-300, 1e300)]),
+    data=st.data(),
+)
+def test_forest_matches_boolean_mask_boruvka(n, seed, loops, levels, data):
+    """Few weight levels tie most edges, a share of the edges are self-loops
+    and ends repeat, so regions pick among many equal keys in every round."""
+    rng = np.random.default_rng(seed)
+    m = data.draw(st.integers(min_value=0, max_value=4 * n))
+    a = rng.integers(n, size=m)
+    b = np.where(rng.random(m) < loops, a, rng.integers(n, size=m))
+    assert_same_forest(n, a, b, np.asarray(levels)[rng.integers(len(levels), size=m)])
+
+
+def test_forest_matches_boolean_mask_boruvka_on_paper_graphs():
+    for terrain in BenchConfig(seed=42, terrains=3, rows=64, cols=64).terrain_specs():
+        g = build_graph(aggregate(generate_terrain(terrain)))
+        a, b = g.edges.T
+        for spec in WeightSpec:
+            assert_same_forest(len(g.nodes), a, b, g.weights(spec))
 
 
 def test_nan_weights_raise_instead_of_looping():

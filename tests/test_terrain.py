@@ -10,10 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    any_blocked_blocks,
+    block_means_per_cell,
     flood_fill_regions,
     format_height_template,
     label_regions,
+    mean_block_heights,
     midpoint_displacement,
+    padded_midpoint_displacement,
     parse_height_lines,
     parse_mask_rows,
 )
@@ -439,6 +443,36 @@ class TestAggregate:
                 block = heights[2 * mr : 2 * mr + 2, 2 * mc : 2 * mc + 2]
                 assert block.min() <= mega.heights[mr, mc] <= block.max()
 
+    @settings(max_examples=300)
+    @given(
+        half_rows=st.integers(min_value=1, max_value=40),
+        half_cols=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        exponents=st.sampled_from([(0, 1), (-3, 4), (-300, 300)]),
+        density=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_matches_reshaped_mean_and_any(self, half_rows, half_cols, seed, exponents, density):
+        """Every even shape from 2x2 up, with heights whose magnitudes differ
+        enough that another order of the four additions changes the bits."""
+        rng = np.random.default_rng(seed)
+        rows, cols = 2 * half_rows, 2 * half_cols
+        heights = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(*exponents, size=(rows, cols))
+        obstacle = rng.random((rows, cols)) < density
+        mega = aggregate(HeightGrid(rows=rows, cols=cols, heights=heights, obstacle=obstacle, spacing=1.0))
+        assert mega.heights.tobytes() == block_means_per_cell(heights).tobytes()
+        if cols >= 4:  # on 2 columns numpy's mean adds in sequence; see the test below
+            assert mega.heights.tobytes() == mean_block_heights(heights).tobytes()
+        assert np.array_equal(mega.blocked, any_blocked_blocks(obstacle))
+        assert np.array_equal(blocked_mega_cells(obstacle), any_blocked_blocks(obstacle))
+
+    def test_two_columns_add_in_the_documented_order(self):
+        """(1e16 + 1) + (-1e16 + 1) rounds to 0, while numpy's mean on a grid
+        2 columns wide sums ((1e16 + 1) - 1e16) + 1 = 1, for a mean of 0.25."""
+        heights = np.array([[1e16, 1.0], [-1e16, 1.0]])
+        grid = HeightGrid(rows=2, cols=2, heights=heights, obstacle=np.zeros((2, 2), bool), spacing=1.0)
+        assert aggregate(grid).heights.tolist() == [[0.0]]
+        assert mean_block_heights(heights).tolist() == [[0.25]]
+
 
 def regions(mask: np.ndarray) -> int:
     """region_count of the blocked mask whose free mega cells are mask."""
@@ -538,6 +572,14 @@ class TestGenerate:
         rows, cols = 2 * half_rows, 2 * half_cols
         field = _midpoint_displacement(np.random.default_rng(seed), rows, cols)
         expected = midpoint_displacement(np.random.default_rng(seed), rows, cols)
+        assert field.shape == expected.shape and field.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200)
+    @given(half_rows=st.integers(1, 65), half_cols=st.integers(1, 65), seed=st.integers(min_value=0))
+    def test_noise_field_bits_match_padded_lattice(self, half_rows, half_cols, seed):
+        rows, cols = 2 * half_rows, 2 * half_cols
+        field = _midpoint_displacement(np.random.default_rng(seed), rows, cols)
+        expected = padded_midpoint_displacement(np.random.default_rng(seed), rows, cols)
         assert field.shape == expected.shape and field.tobytes() == expected.tobytes()
 
     def test_full_scale_connected_and_bounded_obstacles(self):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import scalar_weight
-from slopecover.weights import WeightSpec, edge_weights, total_weight
+from slopecover.weights import WeightSpec, edge_weights, spec_weights, total_weight
 
 finite_heights = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 distances = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
@@ -179,6 +179,30 @@ def test_array_weights_equal_scalar_weights_over_several_blocks(d):
     for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
         assert_equal_to_scalar_weights(spec, h1, h2, d)
         assert_equal_to_scalar_weights(spec, h1 * 1e-300, h2 * 1e-300, d)  # small and subnormal
+
+
+@given(pairs=st.lists(st.tuples(any_heights, any_heights), max_size=40), d=any_distances,
+       specs=st.permutations(list(WeightSpec)).flatmap(lambda s: st.sampled_from([s, s[:2], s[1:], s[:1]])))
+def test_specs_priced_together_equal_each_priced_alone(pairs, d, specs):
+    """One distance pass for several specs: the same bits as edge_weights per
+    spec and as the scalar formula, in any order of the specs."""
+    drawn = np.array(pairs, dtype=np.float64).reshape(-1, 2)
+    h1, h2 = drawn[:, 0], drawn[:, 1]
+    together = spec_weights(specs, h1, h2, d)
+    assert len(together) == len(specs)
+    for spec, got in zip(specs, together):
+        assert got.dtype == np.float64
+        assert got.tobytes() == edge_weights(spec, h1, h2, d).tobytes()
+        assert_equal_to_scalar_weights(spec, h1, h2, d)
+
+
+def test_specs_priced_together_over_several_blocks():
+    """Over more than two pricing blocks, with the pairs on which np.hypot is 1 ulp off."""
+    h1, h2 = np.random.default_rng(11).normal(0.0, 5.0, (2, 10_000))
+    h1, h2 = np.concatenate([h1, _DISAGREE_H1]), np.concatenate([h2, _DISAGREE_H2])
+    for spec, got in zip([PYTHAGORAS, PENALTY], spec_weights([PYTHAGORAS, PENALTY], h1, h2, 2.0)):
+        expected = [scalar_weight(spec, a, b, 2.0) for a, b in zip(h1.tolist(), h2.tolist())]
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("spec", list(WeightSpec))
