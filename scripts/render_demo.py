@@ -29,7 +29,7 @@ def main() -> None:
     parser.add_argument("--cols", type=int, default=24)
     parser.add_argument("--obstacles", type=int, default=3)
     parser.add_argument("--roughness", type=float, default=0.45)
-    parser.add_argument("--weight", default="penalty", choices=[s.token for s in WeightSpec])
+    parser.add_argument("--weight", default="penalty", choices=[s.value for s in WeightSpec])
     parser.add_argument("--out-dir", default="results/demo")
     args = parser.parse_args()
 

@@ -42,7 +42,7 @@ def main() -> None:
     print(f"wrote {len(records)} records to {out} in {elapsed * 1000:.0f} ms")
     for trend in trend_statistics(records):
         print(
-            f"{trend.spec.token:11s} spearman(slope, gap)={trend.spearman_slope_gap:+.4f} "
+            f"{trend.spec.value:11s} spearman(slope, gap)={trend.spearman_slope_gap:+.4f} "
             f"mean gap={trend.mean_gap:12.2f} mean ratio={trend.mean_gap_ratio:.6f}"
         )
 

@@ -57,7 +57,7 @@ class BenchConfig:
             if not isinstance(spec, WeightSpec):
                 raise TypeError(f"weights must hold WeightSpec members, got {spec!r}")
             if spec in self.weights[:k]:
-                raise ValueError(f"weight spec {spec.token} is repeated")
+                raise ValueError(f"weight spec {spec.value} is repeated")
         self.terrain_specs()  # TerrainGenSpec checks each terrain's parameters
 
     def terrain_specs(self) -> tuple[TerrainGenSpec, ...]:
@@ -194,11 +194,11 @@ def format_csv(records: Sequence[BenchRecord]) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append(
-            f"{r.terrain_index},{r.seed},{r.avg_slope:.6f},{r.spec.token},"
+            f"{r.terrain_index},{r.seed},{r.avg_slope:.6f},{r.spec.value},"
             f"{r.classical_weight:.6f},{r.mst_weight:.6f},{r.gap:.6f},{r.gap_ratio:.6f}"
         )
     for trend in trend_statistics(records):
-        lines.append(f"# correlation,{trend.spec.token},{trend.spearman_slope_gap:.6f}")
+        lines.append(f"# correlation,{trend.spec.value},{trend.spearman_slope_gap:.6f}")
     return "\n".join(lines) + "\n"
 
 

@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="plan a coverage route over a terrain file")
     plan.add_argument("--terrain", required=True, help="terrain file to read")
-    plan.add_argument("--weight", choices=[spec.token for spec in WeightSpec],
+    plan.add_argument("--weight", choices=[spec.value for spec in WeightSpec],
                       default="pythagoras", help="edge-weight function (default pythagoras)")
     plan.add_argument("--method", choices=("mst", "classical"), default="mst",
                       help="spanning tree to circumnavigate (default mst)")
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, field in _BENCH_FIELDS.items():  # _bench_value converts flag and file text alike
         default = field.default
         if key == "weights":
-            default = ",".join(spec.token for spec in default)
+            default = ",".join(spec.value for spec in default)
         bench.add_argument("--" + key.replace("_", "-"), default=None,
                            help=f"{_BENCH_HELP[key]} (default {default})")
     bench.add_argument(
@@ -157,7 +157,7 @@ def cmd_gen_terrain(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     grid = load_height_grid(args.terrain)
     mega = aggregate(grid)
-    spec = WeightSpec.from_token(args.weight)
+    spec = WeightSpec(args.weight)
     graph = build_graph(mega)
     # each builder is a module global looked up at call time, so wrappers on this module see it
     weights = graph.weights(spec)
@@ -200,8 +200,7 @@ def _bench_value(key: str, value: str) -> object:
     """A config file or flag value as its BenchConfig field's type; weights by token."""
     try:
         if key == "weights":
-            tokens = (token.strip() for token in value.split(","))
-            return tuple(WeightSpec.from_token(token) for token in tokens if token)
+            return tuple(WeightSpec(token) for token in map(str.strip, value.split(",")) if token)
         return type(_BENCH_FIELDS[key].default)(value)
     except ValueError as exc:
         raise ValueError(f"{key}: {exc}") from None

@@ -225,9 +225,12 @@ def parse_height_grid(text: str) -> HeightGrid:
 
 def format_height_grid(grid: HeightGrid) -> str:
     """Serialize a grid to the terrain text format, each height written as
-    ``"%.9g" % height`` writes it (9 significant digits), byte for byte."""
+    ``"%.9g" % height`` writes it, byte for byte; the spacing too, unless only
+    its repr reads back as the same float."""
     flat = grid.heights.ravel()
-    parts = [f"{grid.rows} {grid.cols} {grid.spacing:.9g}\n".encode("ascii")]
+    spacing = f"{grid.spacing:.9g}"
+    spacing = spacing if float(spacing) == grid.spacing else repr(grid.spacing)
+    parts = [f"{grid.rows} {grid.cols} {spacing}\n".encode("ascii")]
     parts += [_height_text(flat[start:start + _FORMAT_BLOCK], start, grid.cols)
               for start in range(0, flat.size, _FORMAT_BLOCK)]
     if grid.obstacle.any():
@@ -389,21 +392,21 @@ def _midpoint_displacement(rng: np.random.Generator, rows: int, cols: int) -> np
     step, scale = size, 1.0
     while step > 1:
         half = step // 2
-        # diamond then square, in half steps, on the lattice of spacing half bordered by
-        # zeros, and on its ones: off-lattice neighbours add +0.0 and count 0
-        lattice = np.zeros((size // half + 3, size // half + 3))
-        inside = np.zeros_like(lattice)
-        inside[1:-1, 1:-1] = 1.0
+        # diamond then square, in half steps, on the lattice of spacing half bordered by zeros:
+        # off-lattice neighbours add +0.0, and a point lacks one per lattice border it lies on
+        n = size // half
+        lattice = np.zeros((n + 3, n + 3))
+        border = np.arange(n + 1) % n == 0
         for origins, offsets in (([(1, 1)], [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
                                  ([(0, 1), (1, 0)], [(-1, 0), (1, 0), (0, -1), (0, 1)])):
             lattice[1:-1, 1:-1] = field[::half, ::half]
             for r0, c0 in origins:
                 points = field[r0 * half :: step, c0 * half :: step]
-                total, count = np.zeros(points.shape), np.zeros(points.shape)
+                total = np.zeros(points.shape)
                 for dr, dc in offsets:
                     near = (slice(1 + r0 + dr, None, 2), slice(1 + c0 + dc, None, 2))
                     total += lattice[near][: len(points), : points.shape[1]]
-                    count += inside[near][: len(points), : points.shape[1]]
+                count = 4.0 - border[r0::2, None] - border[c0::2]
                 points[...] = total / count + scale * rng.standard_normal(points.shape)
         scale *= 0.5
         step = half

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -13,7 +13,7 @@ class WeightSpec(enum.Enum):
     """Selects how an edge between two adjacent cells is priced.
 
     A closed enumeration (not a plugin point) so that benchmark configs and
-    CSV output serialize exactly.
+    CSV output serialize exactly: WeightSpec(text) parses, spec.value writes.
     """
 
     UNIT = "unit"
@@ -21,21 +21,9 @@ class WeightSpec(enum.Enum):
     SLOPE_PENALTY = "penalty"
 
     @classmethod
-    def from_token(cls, token: str) -> "WeightSpec":
-        for member in cls:
-            if member.value == token:
-                return member
+    def _missing_(cls, value: object) -> NoReturn:
         valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown weight spec {token!r} (expected one of: {valid})")
-
-    @property
-    def token(self) -> str:
-        return self.value
-
-
-def _check_distance(d: float) -> None:
-    if not d > 0:
-        raise ValueError(f"horizontal distance must be positive, got {d}")
+        raise ValueError(f"unknown weight spec {value!r} (expected one of: {valid})")
 
 
 def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> np.ndarray:
@@ -58,7 +46,8 @@ def edge_weights(spec: WeightSpec, h1: np.ndarray, h2: np.ndarray, d: float) -> 
 
 def spec_weights(specs: Sequence[WeightSpec], h1: np.ndarray, h2: np.ndarray, d: float) -> list[np.ndarray]:
     """edge_weights(spec, h1, h2, d) of each spec, from one _hypot for all of them."""
-    _check_distance(d)
+    if not d > 0:
+        raise ValueError(f"horizontal distance must be positive, got {d}")
     weights, hyp = [], None
     with np.errstate(over="ignore"):
         diff = np.subtract(h1, h2, dtype=np.float64)

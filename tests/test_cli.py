@@ -327,9 +327,13 @@ class TestBench:
             ("", ["--spacing", "x"], "spacing: could not convert string to float: 'x'"),
             ("", ["--weights", "unit,foo"],
              "weights: unknown weight spec 'foo' (expected one of: unit, pythagoras, penalty)"),
+            # a spec is named by its value, never by its member name
+            ("", ["--weights", "SLOPE_PENALTY"], "weights: unknown weight spec 'SLOPE_PENALTY' "
+             "(expected one of: unit, pythagoras, penalty)"),
         ],
         ids=["rows-abc", "terrains-1.5", "spacing-x", "weights-foo", "flag-seed-1", "file-seed-1",
-             "flag-rows-abc", "flag-terrains-1.5", "flag-spacing-x", "flag-weights-foo"],
+             "flag-rows-abc", "flag-terrains-1.5", "flag-spacing-x", "flag-weights-foo",
+             "flag-weights-member-name"],
     )
     def test_bad_value_names_its_key_exit_2(self, tmp_path, capsys, config, flags, message):
         cfg = tmp_path / "bench.cfg"
@@ -337,6 +341,20 @@ class TestBench:
         code, out, err = run(["bench", "--config", str(cfg), *flags], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: invalid benchmark config: {message}\n"
+
+    def test_config_line_without_equals_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text("rows 4\n")
+        code, out, err = run(["bench", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid benchmark config: {cfg}:1: expected 'key = value', got 'rows 4'\n"
+
+    def test_generation_failure_exit_4(self, capsys):
+        code, out, err = run(["bench", "--terrains", "1", "--rows", "2", "--cols", "2",
+                              "--obstacles", "1"], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("error: terrain 0: free mega cells never formed one connected region after 64 "
+                       "attempts (rows=2, cols=2, max_obstacles=1, seed=15793235383387715774)\n")
 
     def test_repeated_weight_spec_exit_2(self, tmp_path, capsys):
         output = tmp_path / "b.csv"
@@ -356,7 +374,7 @@ class TestBench:
         for field in fields:
             default = field.default
             if field.name == "weights":
-                default = ",".join(spec.token for spec in default)
+                default = ",".join(spec.value for spec in default)
             assert flags[field.name].endswith(f"(default {default})"), field.name
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):

@@ -385,6 +385,10 @@ class TestPathFiles:
         with pytest.raises(PathParseError, match="header"):
             parse_path("ROUTE 4 closed\n0 0\n0 1\n1 1\n1 0\n")
 
+    def test_non_integer_count(self):
+        with pytest.raises(PathParseError, match=r"^malformed header 'PATH x closed'$"):
+            parse_path("PATH x closed\n")
+
     def test_count_mismatch(self):
         with pytest.raises(PathParseError, match="expected 4 cells"):
             parse_path("PATH 4 closed\n0 0\n0 1\n")

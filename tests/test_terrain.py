@@ -197,6 +197,20 @@ class TestParsing:
         # after one round trip the text representation is a fixpoint
         assert format_height_grid(back) == text
 
+    @given(st.floats(min_value=0.0, max_value=sys.float_info.max / 2, exclude_min=True))
+    def test_spacing_reads_back_exactly(self, spacing):
+        grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=spacing)
+        header = format_height_grid(grid).split("\n", 1)[0]
+        assert parse_height_grid(format_height_grid(grid)).spacing == spacing
+        if float(f"{spacing:.9g}") == spacing:  # the parent's bytes wherever they read back
+            assert header == f"2 2 {spacing:.9g}"
+
+    def test_ten_digit_spacing_reads_back_exactly(self):
+        spec = TerrainGenSpec(rows=4, cols=4, seed=1, roughness=0.5, spacing=0.1234567891)
+        text = format_height_grid(generate_terrain(spec))
+        assert text.startswith("4 4 0.1234567891\n")
+        assert parse_height_grid(text).spacing == 0.1234567891
+
     def test_bytes_match_per_value_format(self):
         rng = np.random.default_rng(12)
         for i in range(20):
@@ -208,7 +222,7 @@ class TestParsing:
             grid = HeightGrid(
                 rows=rows, cols=cols, heights=heights, obstacle=obstacle, spacing=rng.uniform(0.1, 9)
             )
-            lines = [f"{rows} {cols} {grid.spacing:.9g}"]
+            lines = [f"{rows} {cols} {grid.spacing!r}"]  # 9 digits would not read back
             lines += [" ".join(f"{v:.9g}" for v in row) for row in heights.tolist()]
             if obstacle.any():
                 lines.append("MASK")
@@ -365,6 +379,10 @@ class TestBulkHeightReader:
 
 
 class TestHeightGridInvariants:
+    def test_nonpositive_dimensions(self):
+        with pytest.raises(ValueError, match=r"^grid dimensions must be positive, got 0x2$"):
+            HeightGrid(rows=0, cols=2, heights=[], obstacle=[], spacing=1.0)
+
     def test_wrong_height_count(self):
         with pytest.raises(ValueError, match="expected 4 heights"):
             HeightGrid(rows=2, cols=2, heights=[1, 2, 3], obstacle=[False] * 4, spacing=1.0)

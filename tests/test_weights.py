@@ -55,11 +55,11 @@ def test_dispatch():
 
 
 def test_tokens_round_trip():
-    assert [spec.token for spec in WeightSpec] == ["unit", "pythagoras", "penalty"]
+    assert [spec.value for spec in WeightSpec] == ["unit", "pythagoras", "penalty"]
     for spec in WeightSpec:
-        assert WeightSpec.from_token(spec.token) is spec
+        assert WeightSpec(spec.value) is spec
     with pytest.raises(ValueError, match="unknown weight spec"):
-        WeightSpec.from_token("windward")
+        WeightSpec("windward")
 
 
 @pytest.mark.parametrize("spec", list(WeightSpec))
@@ -209,6 +209,11 @@ def test_specs_priced_together_over_several_blocks():
 def test_array_weights_reject_nonpositive_distance(spec):
     with pytest.raises(ValueError, match="positive"):
         edge_weights(spec, np.zeros(3), np.ones(3), 0.0)
+
+
+def test_array_weights_reject_a_spec_given_as_text():
+    with pytest.raises(TypeError, match=r"^not a WeightSpec: 'pythagoras'$"):
+        edge_weights("pythagoras", np.zeros(3), np.ones(3), 1.0)
 
 
 def test_array_weights_overflow_to_inf_like_scalar():
