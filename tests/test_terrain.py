@@ -200,10 +200,10 @@ class TestParsing:
     @given(st.floats(min_value=0.0, max_value=sys.float_info.max / 2, exclude_min=True))
     def test_spacing_reads_back_exactly(self, spacing):
         grid = HeightGrid(rows=2, cols=2, heights=[1, 2, 3, 4], obstacle=[False] * 4, spacing=spacing)
-        header = format_height_grid(grid).split("\n", 1)[0]
-        assert parse_height_grid(format_height_grid(grid)).spacing == spacing
-        if float(f"{spacing:.9g}") == spacing:  # the parent's bytes wherever they read back
-            assert header == f"2 2 {spacing:.9g}"
+        text = format_height_grid(grid)
+        assert parse_height_grid(text).spacing == spacing
+        if float(f"{spacing:.9g}") == spacing:  # 9 digits are kept wherever they read back
+            assert text.startswith(f"2 2 {spacing:.9g}\n")
 
     def test_ten_digit_spacing_reads_back_exactly(self):
         spec = TerrainGenSpec(rows=4, cols=4, seed=1, roughness=0.5, spacing=0.1234567891)

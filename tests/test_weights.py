@@ -58,7 +58,8 @@ def test_tokens_round_trip():
     assert [spec.value for spec in WeightSpec] == ["unit", "pythagoras", "penalty"]
     for spec in WeightSpec:
         assert WeightSpec(spec.value) is spec
-    with pytest.raises(ValueError, match="unknown weight spec"):
+    with pytest.raises(ValueError, match=r"^unknown weight spec 'windward' \(expected one of: "
+                                         r"unit, pythagoras, penalty\)$"):
         WeightSpec("windward")
 
 
