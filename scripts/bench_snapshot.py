@@ -18,10 +18,13 @@ hash. Each workload's runs of the two checkouts alternate, this one first in
 even rounds and DIR first in odd ones, so that both see the same phases of
 the machine and run k of one pairs with run k of the other: ten pairs, the
 fewest that can show a gain. For each workload and end-to-end metric of
-this checkout's BENCHMARK.json it then prints both medians, how many pairs
-this checkout won and lost in the metric's better direction (ties count for
-neither) and DIR's interquartile range, the distance between the quartiles
-of its runs (linear interpolation, as numpy's percentile).
+this checkout's BENCHMARK.json it then prints both medians, the median of
+the per-pair differences (this checkout's run minus DIR's: a drift of the
+machine between rounds moves both runs of a pair, so it cancels there and
+not between the two medians), how many pairs this checkout won and lost in
+the metric's better direction (ties count for neither) and DIR's
+interquartile range, the distance between the quartiles of its runs (linear
+interpolation, as numpy's percentile).
 """
 
 from __future__ import annotations
@@ -120,13 +123,15 @@ def verdict_lines(here: dict, there: dict, better: dict[str, str]) -> list[str]:
     for name in WORKLOADS:
         for key, direction in better.items():
             mine, theirs = here["workloads"][name][key], there["workloads"][name][key]
+            differences = [a - b for a, b in zip(mine["runs"], theirs["runs"])]
             sign = 1 if direction == "higher" else -1
-            gains = [sign * (a - b) for a, b in zip(mine["runs"], theirs["runs"])]
-            won, lost = sum(gain > 0 for gain in gains), sum(gain < 0 for gain in gains)
+            won = sum(sign * difference > 0 for difference in differences)
+            lost = sum(sign * difference < 0 for difference in differences)
             q1, _, q3 = statistics.quantiles(theirs["runs"], n=4, method="inclusive")
             lines.append(f"{name} {key} ({direction} is better): {here['label']} {mine['median']:.4g}, "
-                         f"{there['label']} {theirs['median']:.4g}; {here['label']} won {won} and lost "
-                         f"{lost} of {len(gains)} pairs; {there['label']} IQR {q3 - q1:.4g}")
+                         f"{there['label']} {theirs['median']:.4g}, median pair difference "
+                         f"{statistics.median(differences):+.4g}; {here['label']} won {won} and lost "
+                         f"{lost} of {len(differences)} pairs; {there['label']} IQR {q3 - q1:.4g}")
     return lines
 
 

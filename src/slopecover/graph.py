@@ -4,6 +4,7 @@ demand, and its spanning trees: the weighted MST and a weight-blind baseline."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -200,34 +201,58 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     up, right, down, left. Deterministic representative of the unit-weight
     approach, where any spanning tree is minimal. Raises DisconnectedGridError
     unless the free cells form exactly one region."""
-    n = len(g.nodes)
-    # each node's up, right, down and left neighbour, or the sentinel node n;
-    # ends (padded for the -1 slots) is a + b, so the far end of edge e from u is ends[e] - u
-    ends = np.append(g.edges.sum(axis=1), 0)
-    neighbour = np.where(g.incident >= 0, ends[g.incident] - np.arange(n)[:, None], n)
-    # The stack holds bare node ids, so the loop allocates nothing the cyclic
-    # collector tracks. Every neighbour is pushed, reversed so pops explore
-    # up, right, down, left; a visited one, the sentinel included, is skipped
-    # when popped, so the visit order is that of pushing only unvisited ones.
-    pushes = neighbour[:, ::-1].ravel().tolist()
-    visited = [False] * n + [True]
-    order: list[int] = []
-    stack = [0] if n else []
-    while stack:
-        u = stack.pop()
-        if visited[u]:
-            continue
+    rows, cols = g.mega.blocked.shape
+    width = cols + 2
+    frame = np.ones((rows + 2, width), dtype=bool)  # the blocked mask in a blocked frame
+    frame[1:-1, 1:-1] = g.mega.blocked
+    cells = np.flatnonzero(~frame)  # node k is the frame cell cells[k]
+    n = len(cells)
+    # A node is its flat frame index, its neighbours u - width, u + 1, u + width
+    # and u - 1. The search steps to the first unvisited one at once and pushes
+    # only the lower-priority ones it passed over, so each pop takes the latest
+    # push, as when every neighbour was pushed. The stack holds bare ints, so
+    # the loop allocates nothing the cyclic collector tracks.
+    visited = frame.ravel().tolist()
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    try:
+        u = int(cells[0])  # the root, node 0
         visited[u] = True
-        order.append(u)
-        stack.extend(pushes[4 * u:4 * u + 4])
-    if not n or len(order) < n:  # no free cell, or the search missed a region; count them only now
-        raise DisconnectedGridError(region_count(g.mega.blocked))
-    # A node's first pop is its latest push, made by its neighbour visited
-    # last before it: that neighbour's edge is its tree edge.
-    rank = np.full(n + 1, -1)  # the sentinel's stays -1, below every node's
-    rank[order] = np.arange(n)
-    earlier = rank[neighbour]
-    earlier[earlier > rank[:n, None]] = -1
+        order = [u]
+        visit = order.append
+        for _ in repeat(None, n - 1):
+            if not visited[u - width]:
+                push(u - 1)
+                push(u + width)
+                push(u + 1)
+                u -= width
+            elif not visited[u + 1]:
+                push(u - 1)
+                push(u + width)
+                u += 1
+            elif not visited[u + width]:
+                push(u - 1)
+                u += width
+            elif not visited[u - 1]:
+                u -= 1
+            else:
+                u = pop()
+                while visited[u]:
+                    u = pop()
+            visited[u] = True
+            visit(u)
+    except IndexError:  # no free cell, or the stack ran dry before the search met every region
+        raise DisconnectedGridError(region_count(g.mega.blocked)) from None
+    stack.clear()  # the pushes never popped: free them before the arrays below
+    # A node is first reached from its neighbour visited last before it: that
+    # neighbour's edge is its tree edge. Neighbour ranks come from four shifted
+    # views; blocked and frame cells rank -1, below every node.
+    rank = np.full(frame.shape, -1)
+    rank.ravel()[order] = np.arange(n)
+    free = ~g.mega.blocked
+    earlier = np.stack([rank[:-2, 1:-1][free], rank[1:-1, 2:][free],
+                        rank[2:, 1:-1][free], rank[1:-1, :-2][free]], axis=1)
+    earlier[earlier > rank[1:-1, 1:-1][free][:, None]] = -1
     via = earlier[1:].argmax(axis=1)  # node 0, the root, has no tree edge
     return SpanningTree(graph=g, edges=np.sort(g.incident[np.arange(1, n), via]))
 

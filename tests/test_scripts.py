@@ -116,7 +116,8 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     """--against runs each workload in both checkouts in every round, this one
     first in even rounds, ten rounds, and writes one file per checkout here,
     the other named by its short SHA. Then it prints, per workload and
-    end-to-end metric, both medians, the pairs won and lost and the other
+    end-to-end metric, both medians, the median of the per-pair differences
+    (this checkout minus the other), the pairs won and lost and the other
     checkout's interquartile range."""
     module = load_bench_snapshot()
     here = fake_checkout(tmp_path / "here", ["a", "b"])
@@ -158,13 +159,16 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
         assert [int(v) for v in old["workloads"][workload]["wall_s"]["runs"]] == [2] * 10
         here_wall, there_wall = new["workloads"][workload]["wall_s"], old["workloads"][workload]["wall_s"]
         q1, _, q3 = statistics.quantiles(there_wall["runs"], n=4, method="inclusive")
+        # this checkout runs first in even rounds, so its run is 0.001 earlier there and later in odd ones
+        differences = [a - b for a, b in zip(here_wall["runs"], there_wall["runs"])]
+        assert sorted({round(d, 9) for d in differences}) == [-1.001, -0.999]
         assert (f"{workload} wall_s (lower is better): new {here_wall['median']:.4g}, 0a1b2c3 "
-                f"{there_wall['median']:.4g}; new won 10 and lost 0 of 10 pairs; "
-                f"0a1b2c3 IQR {q3 - q1:.4g}") in out
-        assert (f"{workload} cells_per_s (higher is better): new 1, 0a1b2c3 2; new won 0 and lost 10 "
-                "of 10 pairs; 0a1b2c3 IQR 0") in out
-        assert (f"{workload} peak_rss_mb (lower is better): new 50, 0a1b2c3 50; new won 0 and lost 0 "
-                "of 10 pairs; 0a1b2c3 IQR 0") in out  # ties count for neither side
+                f"{there_wall['median']:.4g}, median pair difference {statistics.median(differences):+.4g}; "
+                f"new won 10 and lost 0 of 10 pairs; 0a1b2c3 IQR {q3 - q1:.4g}") in out
+        assert (f"{workload} cells_per_s (higher is better): new 1, 0a1b2c3 2, median pair difference -1; "
+                "new won 0 and lost 10 of 10 pairs; 0a1b2c3 IQR 0") in out
+        assert (f"{workload} peak_rss_mb (lower is better): new 50, 0a1b2c3 50, median pair difference +0; "
+                "new won 0 and lost 0 of 10 pairs; 0a1b2c3 IQR 0") in out  # ties count for neither side
     with pytest.raises(SystemExit):
         module.main(["new", "--against", "../bare"], run=fake_run)  # no perfbench there
     assert "is not the root of a checkout" in capsys.readouterr().err
@@ -174,3 +178,12 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     with pytest.raises(SystemExit):
         module.main(["0a1b2c3", "--against", "../there"], run=fake_run)
     assert "both checkouts would write BENCH_0a1b2c3.json" in capsys.readouterr().err
+    # the median of the pair differences is not the difference of the medians (5 - 2)
+    runs = {"a": [1.0, 5.0, 9.0], "b": [2.0, 6.0, 1.0]}
+    snapshots = [{"label": label, "workloads": {name: {"wall_s": {"median": statistics.median(values),
+                                                                  "runs": values}}
+                                               for name in module.WORKLOADS}}
+                 for label, values in runs.items()]
+    assert module.verdict_lines(*snapshots, {"wall_s": "lower"})[0] == (
+        "paper-bench wall_s (lower is better): a 5, b 2, median pair difference -1; "
+        "a won 2 and lost 1 of 3 pairs; b IQR 2.5")

@@ -310,8 +310,15 @@ def comb(rows: int, cols: int) -> np.ndarray:
     np.zeros((1, 9), dtype=bool), np.zeros((9, 1), dtype=bool),  # strips
     comb(7, 9), comb(9, 8).T, comb(6, 11)[::-1], comb(5, 5)[:, ::-1],  # teeth on every side
     np.array([[False, True, False], [True, True, False], [False, True, False]]),  # three regions
+    np.pad(comb(6, 7), ((1, 0), (1, 0)), constant_values=True),  # first row and column blocked
+    np.pad(comb(7, 6).T, ((1, 0), (1, 0)), constant_values=True),
+    np.pad(~np.eye(5, dtype=bool), ((1, 0), (1, 0)), constant_values=True),  # five diagonal regions
+    np.pad(np.ones((3, 5), dtype=bool), 1),  # a ring on all four sides of the mask
+    np.add.outer(*2 * [np.abs(np.arange(-3, 4))]) > 3,  # a diamond touching all four sides
 ], ids=["1x1-blocked", "3x4-blocked", "one-free-row", "one-free-column", "1x9", "9x1",
-        "comb-down", "comb-right", "comb-up", "comb-mirrored", "three-regions"])
+        "comb-down", "comb-right", "comb-up", "comb-mirrored", "three-regions",
+        "comb-first-row-and-column-blocked", "comb-right-first-row-and-column-blocked",
+        "diagonal-first-row-and-column-blocked", "ring-on-all-sides", "diamond-on-all-sides"])
 def test_dfs_tree_matches_tuple_stack_oracle_on_shapes(blocked):
     assert_same_dfs_tree(blocked)
 
@@ -333,10 +340,20 @@ def test_dfs_tree_matches_tuple_stack_oracle_on_random_masks(seed, rows, cols, d
 
 
 def test_dfs_tree_matches_tuple_stack_oracle_on_paper_graphs():
-    for spec in BenchConfig(seed=42).terrain_specs():
-        g = build_graph(aggregate(generate_terrain(spec)))
-        expected, actual = tuple_stack_dfs_tree(g).edges, classical_spanning_tree(g).edges
-        assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes())
+    for seed in (0, 42, 1729):  # bench's default master seed, the paper run's and a holdout
+        for spec in BenchConfig(seed=seed).terrain_specs():
+            g = build_graph(aggregate(generate_terrain(spec)))
+            expected, actual = tuple_stack_dfs_tree(g).edges, classical_spanning_tree(g).edges
+            assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes())
+
+
+def test_dfs_tree_matches_tuple_stack_oracle_at_1000():
+    """plan-1000's terrain: 1000^2 fine cells, ~250k nodes."""
+    spec = TerrainGenSpec(rows=1000, cols=1000, seed=42, max_obstacles=30, roughness=0.3)
+    g = build_graph(aggregate(generate_terrain(spec)))
+    assert len(g.nodes) > 200_000
+    expected, actual = tuple_stack_dfs_tree(g).edges, classical_spanning_tree(g).edges
+    assert (actual.dtype, actual.tobytes()) == (expected.dtype, expected.tobytes())
 
 
 def test_dfs_tree_starts_no_garbage_collection():
