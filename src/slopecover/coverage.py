@@ -60,8 +60,8 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     closed cycle over fine cells.
 
     Each mega cell contributes its four fine sub-cells. Within a cell the
-    walk rotates clockwise (NW, NE, SE, SW); when the rotation would cross an
-    incident tree edge it crosses into the neighbouring mega cell instead.
+    walk rotates clockwise (NW, NE, SE, SW); when the rotation would cross a
+    tree edge of the cell it crosses into the neighbouring mega cell instead.
     Every fine cell of every free mega cell is visited exactly once, and the
     walk crosses between mega cells only over tree edges. Starts at the
     top-left sub-cell of node 0, the first free mega cell in row-major order.
@@ -77,7 +77,7 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     successor = np.arange(1, 4 * n + 1)
     successor[3::4] -= 4
     a, b = g.edges[tree.edges].T
-    down = g.incident[a, 2] == tree.edges  # else the edge goes right from a
+    down = g.nodes[a, 0] != g.nodes[b, 0]  # else the edge goes right from a
     # right edges take a's corner 1 to b's corner 0 and b's corner 3 to a's corner 2;
     # down edges take a's corner 2 to b's corner 1 and b's corner 0 to a's corner 3
     successor[4 * a + 1 + down] = 4 * b + down

@@ -30,16 +30,13 @@ class CoverageGraph:
     """Immutable topology of the free mega cells, stored as arrays.
 
     nodes is the (n, 2) array of mega (row, col), row-major. edges is the
-    (E, 2) array of node pairs (a, b) with a < b, enumerated row-major, right
-    then down. incident is (n, 4): the index of each node's up, right, down
-    and left edge, or -1. Edge costs depend on a weight spec; weights()
-    computes them.
+    (E, 2) array of node pairs (a, b) with a < b, in the canonical order of
+    _pair_mask. Edge costs depend on a weight spec; weights() computes them.
     """
 
     mega: MegaGrid
     nodes: np.ndarray
     edges: np.ndarray
-    incident: np.ndarray
 
     def weights(self, spec: WeightSpec) -> np.ndarray:
         """edge_weights under spec of every edge, in canonical order."""
@@ -58,14 +55,12 @@ def adjacent_pairs(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return free[:, :-1] & free[:, 1:], free[:-1, :] & free[1:, :]
 
 
-def _free_edges(free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A mask's 4-adjacent free pairs as (E, 2) row-major node numbers a < b, enumerated
-    row-major, right then down, and each pair's down flag (0: right, 1: down)."""
-    node = np.cumsum(free) - 1
+def _pair_mask(free: np.ndarray) -> np.ndarray:
+    """(rows, cols, 2) True where a free cell's right (0) or down (1) neighbour
+    is free. Its row-major True positions are the canonical edge order."""
     pairs = np.zeros((*free.shape, 2), dtype=bool)
     pairs[:, :-1, 0], pairs[:-1, :, 1] = adjacent_pairs(free)
-    cell, down = np.divmod(np.flatnonzero(pairs), 2)
-    return np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1), down
+    return pairs
 
 
 def build_graph(mega: MegaGrid) -> CoverageGraph:
@@ -77,14 +72,11 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     builders raise DisconnectedGridError unless the free cells form one region.
     """
     free = ~mega.blocked
-    edges, down = _free_edges(free)
-    incident = np.full((np.count_nonzero(free), 4), -1, dtype=np.int64)
-    # right edge: its first node's right slot (1), its second's left (3); down: down (2), up (0)
-    k = np.arange(len(edges))
-    incident[edges[:, 0], 1 + down] = k
-    incident[edges[:, 1], 3 - 3 * down] = k
-    graph = CoverageGraph(mega=mega, nodes=np.argwhere(free), edges=edges, incident=incident)
-    for array in (graph.nodes, graph.edges, graph.incident):
+    node = np.cumsum(free) - 1
+    cell, down = np.divmod(np.flatnonzero(_pair_mask(free)), 2)
+    edges = np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1)
+    graph = CoverageGraph(mega=mega, nodes=np.argwhere(free), edges=edges)
+    for array in (graph.nodes, graph.edges):
         array.setflags(write=False)
     return graph
 
@@ -254,7 +246,12 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
                         rank[2:, 1:-1][free], rank[1:-1, :-2][free]], axis=1)
     earlier[earlier > rank[1:-1, 1:-1][free][:, None]] = -1
     via = earlier[1:].argmax(axis=1)  # node 0, the root, has no tree edge
-    return SpanningTree(graph=g, edges=np.sort(g.incident[np.arange(1, n), via]))
+    del earlier, rank  # freed before the tree's index arrays
+    # each tree edge is the right or down pair of its upper or left end
+    r, c = g.nodes[1:].T
+    tree = np.zeros((*free.shape, 2), dtype=bool)
+    tree[r - (via == 0), c - (via == 3), 1 - via % 2] = True
+    return SpanningTree(graph=g, edges=np.flatnonzero(tree[_pair_mask(free)]))
 
 
 def tree_weight(tree: SpanningTree, weights: np.ndarray) -> float:

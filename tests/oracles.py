@@ -104,13 +104,27 @@ def stable_weight_kruskal(graph: CoverageGraph, spec: WeightSpec) -> np.ndarray:
     return np.array(sorted(chosen), dtype=np.int64)
 
 
+def node_edges(g: CoverageGraph) -> list[list[int]]:
+    """Each node's up, right, down and left edge index, or -1 where there is
+    none. An edge whose two nodes share a row goes right from its first node;
+    any other goes down from it."""
+    rows = [r for r, _ in g.nodes.tolist()]
+    incident = [[-1] * 4 for _ in rows]
+    for e, (a, b) in enumerate(g.edges.tolist()):
+        if rows[a] == rows[b]:
+            incident[a][1] = incident[b][3] = e
+        else:
+            incident[a][2] = incident[b][0] = e
+    return incident
+
+
 def tuple_stack_dfs_tree(g: CoverageGraph) -> SpanningTree:
     """The weight-blind depth-first tree, built with one `(node, edge)` tuple
     per push as graph.classical_spanning_tree built it before its node-only
     stack and its tree edges from the visit order. Raises DisconnectedGridError
     with the flood-fill region count unless the free cells form exactly one region."""
     # pushed reversed so pops explore up, right, down, left
-    incident = g.incident[:, ::-1].tolist()
+    incident = [edges[::-1] for edges in node_edges(g)]
     ends = g.edges.sum(axis=1).tolist()  # a + b: the far end of edge e from u is ends[e] - u
     n = len(g.nodes)
     visited = [False] * n
@@ -271,7 +285,7 @@ def pointer_chase_walk(tree: SpanningTree) -> CoveragePath:
     every cell and for the error text."""
     g = tree.graph
     n = len(g.nodes)
-    incident = g.incident
+    incident = np.array(node_edges(g), dtype=np.int64).reshape(n, 4)
     crossing = np.isin(incident, tree.edges)
     successor = np.arange(4 * n).reshape(n, 4) + (1, 1, 1, -3)
     u, k = np.nonzero(crossing)

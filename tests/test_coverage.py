@@ -5,7 +5,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -193,6 +193,10 @@ class TestWalkOracle:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         spec=st.sampled_from(list(WeightSpec)),
     )
+    # down edges between consecutive node numbers: seed 8 draws [[0.33, 0.99], [0.32, 0.79]],
+    # which at density 0.5 frees only the right column, and density 0 frees a whole column
+    @example(rows=2, cols=2, density=0.5, seed=8, spec=WeightSpec.SLOPE_PENALTY)
+    @example(rows=5, cols=1, density=0.0, seed=0, spec=WeightSpec.SLOPE_PENALTY)
     def test_matches_pointer_chase_on_random_masks(self, rows, cols, density, seed, spec):
         rng = np.random.default_rng(seed)
         free = first_region(rng.random((rows, cols)) >= density)

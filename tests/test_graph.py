@@ -110,7 +110,7 @@ def test_disconnected_free_cells_raise_with_component_count():
 
 def test_no_free_cells_rejected():
     g = build_graph(mega(np.zeros((2, 2)), np.ones((2, 2), dtype=bool)))
-    assert (g.nodes.shape, g.edges.shape, g.incident.shape) == ((0, 2), (0, 2), (0, 4))
+    assert (g.nodes.shape, g.edges.shape) == ((0, 2), (0, 2))
     assert_builders_reject(g, 0, "^mega grid has no free cells \\(need exactly 1 free region\\)$")
 
 
@@ -120,12 +120,10 @@ def test_node_lookup():
     assert g.nodes.tolist() == [[0, 0], [1, 0], [1, 1]]  # (0, 1) is blocked: no node
     # edges (0, 1) down from (0, 0) and (1, 2) right from (1, 0)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
-    # up, right, down, left edge of each node
-    assert g.incident.tolist() == [[-1, -1, 0, -1], [0, 1, -1, -1], [-1, -1, -1, 1]]
 
 
 def test_graph_is_topology_only():
-    assert [f.name for f in fields(CoverageGraph)] == ["mega", "nodes", "edges", "incident"]
+    assert [f.name for f in fields(CoverageGraph)] == ["mega", "nodes", "edges"]
     m = mega(np.arange(4.0).reshape(2, 2))
     g = build_graph(m)
     # one graph serves every spec
@@ -140,7 +138,7 @@ def test_graph_is_topology_only():
 
 def test_arrays_read_only():
     g = build_graph(mega(np.zeros((2, 2))))
-    for array in (g.nodes, g.edges, g.incident):
+    for array in (g.nodes, g.edges):
         with pytest.raises(ValueError):
             array[0] = 1
 
@@ -162,16 +160,11 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, density, spec):
     cells, pairs = enumerate_edges(m)
     assert g.nodes.tolist() == [list(cell) for cell in cells]
     assert g.edges.tolist() == [list(pair) for pair in pairs]
-    incident = [[-1] * 4 for _ in cells]
     weights = g.weights(spec).tolist()
     for i, (a, b) in enumerate(pairs):
         (ra, ca), (rb, cb) = cells[a], cells[b]
-        # a right edge is a's slot 1 and b's slot 3; a down edge a's slot 2 and b's slot 0
-        incident[a][1 if ra == rb else 2] = i
-        incident[b][3 if ra == rb else 0] = i
         h1, h2 = float(m.heights[ra, ca]), float(m.heights[rb, cb])
         assert weights[i] == scalar_weight(spec, h1, h2, m.spacing)  # exact, not approx
-    assert g.incident.tolist() == incident
     regions = flood_fill_regions(~blocked)
     if regions != 1:  # disconnected or empty: neither builder gives a tree
         assert_builders_reject(g, regions, "disconnected" if regions else "no free cells")

@@ -308,6 +308,7 @@ def comb(rows: int, cols: int) -> np.ndarray:
     np.ones((1, 1), dtype=bool), np.ones((3, 4), dtype=bool),  # no free cell
     np.array([[True, False, True]]), np.array([[True], [True], [False]]),  # one free cell
     np.zeros((1, 9), dtype=bool), np.zeros((9, 1), dtype=bool),  # strips
+    np.array([[True, False], [True, False]]),  # a down edge between nodes 0 and 1
     comb(7, 9), comb(9, 8).T, comb(6, 11)[::-1], comb(5, 5)[:, ::-1],  # teeth on every side
     np.array([[False, True, False], [True, True, False], [False, True, False]]),  # three regions
     np.pad(comb(6, 7), ((1, 0), (1, 0)), constant_values=True),  # first row and column blocked
@@ -315,7 +316,7 @@ def comb(rows: int, cols: int) -> np.ndarray:
     np.pad(~np.eye(5, dtype=bool), ((1, 0), (1, 0)), constant_values=True),  # five diagonal regions
     np.pad(np.ones((3, 5), dtype=bool), 1),  # a ring on all four sides of the mask
     np.add.outer(*2 * [np.abs(np.arange(-3, 4))]) > 3,  # a diamond touching all four sides
-], ids=["1x1-blocked", "3x4-blocked", "one-free-row", "one-free-column", "1x9", "9x1",
+], ids=["1x1-blocked", "3x4-blocked", "one-free-row", "one-free-column", "1x9", "9x1", "right-column",
         "comb-down", "comb-right", "comb-up", "comb-mirrored", "three-regions",
         "comb-first-row-and-column-blocked", "comb-right-first-row-and-column-blocked",
         "diagonal-first-row-and-column-blocked", "ring-on-all-sides", "diamond-on-all-sides"])
