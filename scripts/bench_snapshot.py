@@ -3,10 +3,13 @@
 
     python scripts/bench_snapshot.py LABEL
     python scripts/bench_snapshot.py LABEL --against DIR
+    python scripts/bench_snapshot.py LABEL --against DIR --workload plan-1000
 
 Run it from the root of a checkout. Each run is one
 `perfbench/run.py --workload W --seed 42 --seconds 20 --trace 0`, the
-workloads taking turns, and every run must report correct output. The file
+workloads taking turns, and every run must report correct output. By default
+every workload runs; `--workload NAME`, which can be repeated, runs only the
+ones named, so that the pairs of one claimed workload are quick to rerun. The file
 holds, per workload, the median and the runs of each end-to-end metric, with
 the git SHA (and whether the tree had uncommitted changes), `nproc`, the
 `src/` line count and the size of `slopecover.__all__`, so that two
@@ -37,7 +40,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 WORKLOADS = ("paper-bench", "plan-1000", "render-500")
 RUNS = 3
@@ -73,13 +76,14 @@ def source_size(root: Path) -> tuple[int, int | None]:
     return lines, len(names[-1].elts) if names else None
 
 
-def measure(roots: list[Path], runs: int, run: Callable[[str, Path], dict]) -> list[dict[str, list[dict]]]:
+def measure(roots: list[Path], runs: int, run: Callable[[str, Path], dict],
+            workloads: Sequence[str] = WORKLOADS) -> list[dict[str, list[dict]]]:
     """Per root, per workload, the metrics of each run. In round k every
     workload runs once in every root, in the order of roots when k is even
     and in the reverse order when k is odd."""
-    samples: list[dict[str, list[dict]]] = [{name: [] for name in WORKLOADS} for _ in roots]
+    samples: list[dict[str, list[dict]]] = [{name: [] for name in workloads} for _ in roots]
     for k in range(runs):
-        for name in WORKLOADS:
+        for name in workloads:
             for side in (range(len(roots)) if k % 2 == 0 else reversed(range(len(roots)))):
                 result = run(name, roots[side])
                 if not result["correct"]:
@@ -117,10 +121,10 @@ def snapshot(label: str, root: Path, runs: int, samples: dict[str, list[dict]]) 
 
 
 def verdict_lines(here: dict, there: dict, better: dict[str, str]) -> list[str]:
-    """One line per workload and metric named in better, which maps each
-    metric to "lower" or "higher", comparing the snapshots here and there."""
+    """One line per workload of here and metric named in better, which maps
+    each metric to "lower" or "higher", comparing the snapshots here and there."""
     lines = []
-    for name in WORKLOADS:
+    for name in here["workloads"]:
         for key, direction in better.items():
             mine, theirs = here["workloads"][name][key], there["workloads"][name][key]
             differences = [a - b for a, b in zip(mine["runs"], theirs["runs"])]
@@ -141,6 +145,9 @@ def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_p
     parser.add_argument("--against", metavar="DIR",
                         help=f"also measure the git checkout at DIR, alternating, {PAIRED_RUNS} "
                         "runs each, into BENCH_<DIR's short SHA>.json")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS, dest="workloads",
+                        metavar="NAME", help="run only this workload; can be repeated "
+                        f"(default: all of {', '.join(WORKLOADS)})")
     args = parser.parse_args(argv)
     checkouts = [(args.label, Path.cwd())]
     if args.against:
@@ -157,7 +164,8 @@ def main(argv: list[str] | None = None, run: Callable[[str, Path], dict] = run_p
         if not (root / "perfbench/run.py").is_file():
             parser.error(f"{root} is not the root of a checkout (no perfbench/run.py there)")
     runs = PAIRED_RUNS if args.against else RUNS
-    samples = measure([root for _, root in checkouts], runs, run)
+    workloads = [name for name in WORKLOADS if name in (args.workloads or WORKLOADS)]
+    samples = measure([root for _, root in checkouts], runs, run, workloads)
     snapshots = [snapshot(label, root, runs, sample) for (label, root), sample in zip(checkouts, samples)]
     for record in snapshots:
         out = Path(f"BENCH_{record['label']}.json")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from slopecover.weights import WeightSpec, edge_weights, total_weight
 _CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
 # the share of walk states that are rulers of the walk's list ranking
 _RULER_SHARE = 2.0 ** -7
+# route cells priced, or written, at a time
+_ROUTE_BLOCK = 1 << 16
 
 # 18 digits keep every canonical count and coordinate below 10**18 < 2**63,
 # so a file the bulk reader accepts cannot overflow int64
@@ -76,8 +78,10 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     # the corner before k of the neighbour; otherwise it turns to corner k + 1.
     successor = np.arange(1, 4 * n + 1)
     successor[3::4] -= 4
-    a, b = g.edges[tree.edges].T
-    down = g.nodes[a, 0] != g.nodes[b, 0]  # else the edge goes right from a
+    # row gathers by take: numpy's 2-D fancy indexing is several times slower
+    a, b = g.edges.take(tree.edges, axis=0).T
+    rows = g.nodes[:, 0]
+    down = rows.take(a) != rows.take(b)  # else the edge goes right from a
     # right edges take a's corner 1 to b's corner 0 and b's corner 3 to a's corner 2;
     # down edges take a's corner 2 to b's corner 1 and b's corner 0 to a's corner 3
     successor[4 * a + 1 + down] = 4 * b + down
@@ -89,7 +93,7 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
             "the tree does not span all free mega cells"
         )
     corners = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2)
-    return CoveragePath(cells=corners[order], closed=True)
+    return CoveragePath(cells=corners.take(order, axis=0), closed=True)
 
 
 def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
@@ -143,17 +147,28 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
 def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
     """Sum of edge weights over consecutive fine cells (cyclically when closed),
     added in route order. Raises ValueError, naming the first cell outside the
-    grid if there is one, or when the total is not finite."""
+    grid if there is one, or when the total is not finite.
+
+    The steps are priced _ROUTE_BLOCK at a time. Each block's first weight has
+    the running total added to it, so the additions are the one left-to-right
+    sequence of the whole route."""
     try:
-        heights = grid.heights.ravel().take(np.ravel_multi_index(path.cells.T, grid.heights.shape))
+        index = np.ravel_multi_index(path.cells.T, grid.heights.shape)
     except ValueError:  # a cell outside the grid
         i = ((path.cells < 0) | (path.cells >= grid.heights.shape)).any(axis=1).argmax()
         raise ValueError(f"cell {path.cells[i, 0]},{path.cells[i, 1]} lies outside the grid") from None
-    if len(heights) < 2:
+    if len(index) < 2:
         return 0.0
-    following = np.roll(heights, -1) if path.closed else heights[1:]
-    weights = edge_weights(spec, heights[: len(following)], following, grid.spacing)
-    return total_weight(weights, "path_cost")
+    if path.closed:
+        index = np.append(index, index[0])
+    heights, total = grid.heights.ravel(), 0.0
+    for start in range(0, len(index) - 1, _ROUTE_BLOCK):
+        block = heights.take(index[start:start + _ROUTE_BLOCK + 1])
+        weights = edge_weights(spec, block[:-1], block[1:], grid.spacing)
+        with np.errstate(over="ignore"):  # total_weight reports an overflow
+            weights[0] += total
+        total = total_weight(weights, "path_cost")
+    return total
 
 
 def count_sacrificed_cells(grid: HeightGrid) -> int:
@@ -179,12 +194,13 @@ def validate_path(path: CoveragePath, grid: HeightGrid) -> None:
     row, col = cells[:, 0], cells[:, 1]
     outside = (row < 0) | (row >= grid.rows) | (col < 0) | (col >= grid.cols)
     row, col = np.where(outside, 0, row), np.where(outside, 0, col)
+    flat = row * grid.cols + col
     # what can be wrong with one cell, in the order it is reported
     problems = (
         (outside, "lies outside the grid"),
-        (grid.obstacle[row, col], "is an obstacle"),
-        (blocked[row // 2, col // 2], "lies in a blocked mega cell"),
-        (_repeated(row * grid.cols + col), "visited twice"),
+        (grid.obstacle.ravel().take(flat), "is an obstacle"),
+        (blocked.ravel().take(row // 2 * blocked.shape[1] + col // 2), "lies in a blocked mega cell"),
+        (_repeated(flat), "visited twice"),
     )
     failing = np.logical_or.reduce([mask for mask, _ in problems])
     if failing.any():
@@ -211,10 +227,18 @@ def _repeated(keys: np.ndarray) -> np.ndarray:
 def format_path(path: CoveragePath) -> str:
     """Serialize to the path text format: header `PATH L closed`, then one
     `row col` line per cell."""
-    word = "closed" if path.closed else "open"
+    return "".join(_path_text(path))
+
+
+def _path_text(path: CoveragePath) -> Iterator[str]:
+    """format_path's text in pieces: the header, then the lines of each
+    _ROUTE_BLOCK cells."""
     cells = path.cells
-    return f"PATH {len(cells)} {word}\n" + _joined(_each_formatted(cells[:, 0], lambda v: f"{v} "),
-                                                   _each_formatted(cells[:, 1], lambda v: f"{v}\n"))
+    yield f"PATH {len(cells)} {'closed' if path.closed else 'open'}\n"
+    for start in range(0, len(cells), _ROUTE_BLOCK):
+        block = cells[start:start + _ROUTE_BLOCK]
+        yield _joined(_each_formatted(block[:, 0], lambda v: f"{v} "),
+                      _each_formatted(block[:, 1], lambda v: f"{v}\n"))
 
 
 def _each_formatted(values: np.ndarray, text: Callable[[int], str]) -> np.ndarray:
@@ -300,4 +324,6 @@ def load_path_file(path: str | Path) -> CoveragePath:
 
 
 def save_path(path: CoveragePath, file: str | Path) -> None:
-    Path(file).write_text(format_path(path), encoding="utf-8", newline="\n")
+    """Write format_path's text to file, block by block."""
+    with open(file, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(_path_text(path))

@@ -241,6 +241,7 @@ def classical_spanning_tree(g: CoverageGraph) -> SpanningTree:
     # views; blocked and frame cells rank -1, below every node.
     rank = np.full(frame.shape, -1)
     rank.ravel()[order] = np.arange(n)
+    del order, visit, visited  # freed before the arrays below: n and (rows + 2)(cols + 2) list slots
     free = ~g.mega.blocked
     earlier = np.stack([rank[:-2, 1:-1][free], rank[1:-1, 2:][free],
                         rank[2:, 1:-1][free], rank[1:-1, :-2][free]], axis=1)

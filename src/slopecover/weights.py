@@ -70,39 +70,60 @@ _SMALLEST_NORMAL = 2.0 ** -1022
 def _hypot(d: float, diff: np.ndarray) -> np.ndarray:
     """math.hypot(d, x) of every x in diff, bit for bit.
 
-    CPython 3.11's vector_norm on the two values (d, |x|): scale both by the
-    power of two that brings the larger into [0.5, 1), add their exact
-    squares (Dekker products) to csum = 1 with fast two-sums whose low parts
-    go to frac1 and frac2, take the square root, apply one differential
-    correction and undo the scale. An infinite value gives inf; rows whose
-    larger value is below the smallest normal float, where the scale would
-    overflow, go through math.hypot itself.
+    CPython 3.11's vector_norm on the two values (d, |x|) scales both by the
+    power of two that brings the larger into [0.5, 1). For a normal d in
+    [2**(e-1), 2**e), every |x| < 2**e leaves d's exponent e the larger one,
+    so those rows share the scale 2**-e and d's terms are scalars: every row
+    is priced with it first. The rows at or above 2**e (the limit is inf when
+    e is 1024), and every row when d is subnormal or inf, are then priced
+    again with their own scale. Of those, an infinite value gives inf, and
+    rows whose larger value is below the smallest normal float, where the
+    scale would overflow, go through math.hypot itself.
     """
     out = np.empty(len(diff))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf rows are set after, from big
-        for start in range(0, len(diff), _BLOCK):
-            x = np.abs(diff[start:start + _BLOCK])
+    # rows past the limit are priced again, and inf rows are set after
+    with np.errstate(over="ignore", invalid="ignore"):
+        if _SMALLEST_NORMAL <= d < math.inf:
+            e = math.frexp(d)[1]
+            limit, scale = (math.ldexp(1.0, e) if e < 1024 else math.inf), math.ldexp(1.0, -e)
+            for start in range(0, len(diff), _BLOCK):
+                _scaled_norm(d, np.abs(diff[start:start + _BLOCK]), scale, out[start:start + _BLOCK])
+            rest = np.flatnonzero(~(np.abs(diff) < limit))
+        else:
+            rest = np.arange(len(diff))
+        for start in range(0, len(rest), _BLOCK):
+            rows = rest[start:start + _BLOCK]
+            x = np.abs(diff.take(rows))
             big = np.fmax(x, d)
-            scale = np.ldexp(1.0, -np.frexp(big)[1])
-            # frac1 and frac2 start from the first value's terms, not 0.0 + them: a zero's
-            # sign cannot reach the result, since csum - 1 >= 0.25 and h > 0
-            square, frac1 = _exact_square(d * scale)
-            csum, frac2 = _fast_two_sum(1.0, square)
-            square, square_low = _exact_square(x * scale)
-            csum, sum_low = _fast_two_sum(csum, square)
-            frac1 += square_low
-            frac2 += sum_low
-            h = np.sqrt(csum - 1.0 + (frac1 + frac2))
-            square, square_low = _exact_square(h)  # dl_mul(-h, h) is its negation
-            csum, sum_low = _fast_two_sum(csum, -square)
-            frac1, frac2 = frac1 - square_low, frac2 + sum_low
-            h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
-            block = out[start:start + _BLOCK]
-            np.divide(h, scale, out=block)
+            block = _scaled_norm(d, x, np.ldexp(1.0, -np.frexp(big)[1]))
             block[np.isinf(big)] = np.inf
             for i in np.flatnonzero(big < _SMALLEST_NORMAL).tolist():
                 block[i] = math.hypot(d, x[i])
+            out[rows] = block
     return out
+
+
+def _scaled_norm(d: float, x: np.ndarray, scale: float | np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """vector_norm's steps on (d, x) at scale, one scalar or one per element,
+    into out if given: add the exact squares (Dekker products) of the scaled
+    values to csum = 1 with fast two-sums whose low parts go to frac1 and
+    frac2, take the square root, apply one differential correction and undo
+    the scale."""
+    # frac1 and frac2 start from d's terms, not 0.0 + them: a zero's sign cannot
+    # reach the result, since csum - 1 >= 0.25 and h > 0
+    square, frac1 = _exact_square(d * scale)
+    csum, frac2 = _fast_two_sum(1.0, square)
+    square, square_low = _exact_square(x * scale)
+    csum, sum_low = _fast_two_sum(csum, square)
+    frac1 = frac1 + square_low
+    frac2 = frac2 + sum_low
+    h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+    square, square_low = _exact_square(h)  # dl_mul(-h, h) is its negation
+    csum, sum_low = _fast_two_sum(csum, -square)
+    frac1, frac2 = frac1 - square_low, frac2 + sum_low
+    h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
+    return np.divide(h, scale, out=out)
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

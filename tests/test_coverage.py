@@ -29,6 +29,7 @@ from slopecover.coverage import (
     format_path,
     parse_path,
     path_cost,
+    save_path,
     validate_path,
 )
 from slopecover.graph import (SpanningTree, build_graph, classical_spanning_tree, minimum_spanning_tree,
@@ -321,6 +322,57 @@ class TestPathCost:
         assert tree_weight(tree, tree.graph.weights(WeightSpec.PYTHAGORAS)) == 2.0
         with pytest.raises(ValueError, match="path_cost is not finite"):
             path_cost(path, grid, WeightSpec.PYTHAGORAS)
+
+
+class TestRouteBlocks:
+    """path_cost prices, and format_path and save_path write, _ROUTE_BLOCK
+    route cells at a time; the blocks change no bit of the cost or the text."""
+
+    def assert_blocks_keep_cost_and_text(self, paths, grid, tmp_path):
+        for path in paths:
+            for spec in WeightSpec:
+                # exact: same terms, added in the same order
+                assert path_cost(path, grid, spec) == scalar_path_cost(path, grid, spec)
+            text = format_path(path)
+            assert text == format_path_template(path)
+            save_path(path, tmp_path / "route.txt")
+            assert (tmp_path / "route.txt").read_bytes() == text.encode("ascii")
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_small_blocks(self, monkeypatch, tmp_path, block):
+        """Closed routes, and open and closed cuts of them that end on, before
+        and after a block boundary."""
+        monkeypatch.setattr(coverage, "_ROUTE_BLOCK", block)
+        grid = generate_terrain(TerrainGenSpec(rows=6, cols=8, seed=5, roughness=0.7, spacing=0.3))
+        route = circumnavigate(tree_for(aggregate(grid)))
+        cuts = sorted({0, 1, 2, block, block + 1, block + 2, 2 * block, 2 * block + 1, 3 * block - 1})
+        paths = [route] + [CoveragePath(cells=route.cells[:cut], closed=closed)
+                           for cut in cuts for closed in (True, False)]
+        self.assert_blocks_keep_cost_and_text(paths, grid, tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 1 << 16])
+    def test_overflow_in_the_last_block(self, monkeypatch, block):
+        """Along one row of 16 cells the open route's total, 1.6e308 from its
+        first and last steps, is finite; the closed route's closing step
+        overflows it, in the last block."""
+        monkeypatch.setattr(coverage, "_ROUTE_BLOCK", block)
+        heights = np.zeros((2, 16))
+        heights[0, 0], heights[0, 15] = -8e307, 8e307
+        grid = HeightGrid(rows=2, cols=16, heights=heights.ravel().tolist(), obstacle=[False] * 32,
+                          spacing=1.0)
+        cells = [(0, c) for c in range(16)]
+        spec = WeightSpec.PYTHAGORAS
+        route = CoveragePath(cells=cells, closed=False)
+        assert path_cost(route, grid, spec) == scalar_path_cost(route, grid, spec) == 1.6e308 + 13
+        with pytest.raises(ValueError, match=r"^path_cost is not finite \(inf\): a weight or the sum "
+                                             r"overflows, from height differences or from the spacing$"):
+            path_cost(CoveragePath(cells=cells, closed=True), grid, spec)
+
+    def test_a_route_of_more_than_two_blocks(self, tmp_path):
+        grid = generate_terrain(TerrainGenSpec(rows=364, cols=364, seed=3, roughness=0.4))
+        route = circumnavigate(tree_for(aggregate(grid)))
+        assert len(route.cells) == 364 * 364 > 2 * coverage._ROUTE_BLOCK
+        self.assert_blocks_keep_cost_and_text([route], grid, tmp_path)
 
 
 def test_non_finite_tree_weight_rejected():

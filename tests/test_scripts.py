@@ -187,3 +187,34 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     assert module.verdict_lines(*snapshots, {"wall_s": "lower"})[0] == (
         "paper-bench wall_s (lower is better): a 5, b 2, median pair difference -1; "
         "a won 2 and lost 1 of 3 pairs; b IQR 2.5")
+
+
+def test_bench_snapshot_runs_only_the_named_workloads(tmp_path, monkeypatch, capsys):
+    """--workload, repeated, runs the workloads named, in the usual turn order,
+    for both checkouts; the files and the printed pairs hold only them."""
+    module = load_bench_snapshot()
+    here = fake_checkout(tmp_path / "here", ["a"])
+    there = fake_checkout(tmp_path / "there", ["a"])
+    monkeypatch.setattr(module, "git", lambda root, *args: "0a1b2c3" if root == there else None)
+    monkeypatch.chdir(here)
+    (here / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    calls = []
+
+    def fake_run(workload, root):
+        calls.append(workload)
+        return {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0 if root == here else 2.0, "unit": "s"}}}
+
+    named = ["--workload", "render-500", "--workload", "plan-1000"]
+    assert module.main(["new", "--against", "../there", *named], run=fake_run) == 0
+    assert calls == ["plan-1000", "plan-1000", "render-500", "render-500"] * 10
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in out[2:]] == ["plan-1000", "render-500"]
+    for name in ("BENCH_new.json", "BENCH_0a1b2c3.json"):
+        assert list(json.loads((here / name).read_text())["workloads"]) == ["plan-1000", "render-500"]
+    calls.clear()
+    assert module.main(["one", "--workload", "paper-bench"], run=fake_run) == 0
+    assert calls == ["paper-bench"] * 3
+    with pytest.raises(SystemExit):
+        module.main(["x", "--workload", "plan-2000"], run=fake_run)
+    assert "invalid choice: 'plan-2000'" in capsys.readouterr().err

@@ -182,6 +182,35 @@ def test_array_weights_equal_scalar_weights_over_several_blocks(d):
         assert_equal_to_scalar_weights(spec, h1 * 1e-300, h2 * 1e-300, d)  # small and subnormal
 
 
+def binade_edge(d: float) -> list[float]:
+    """Differences at the edge of d's binade [2**(e-1), 2**e): 2**e and the
+    float below it (the largest float when 2**e overflows), with both signs."""
+    e = math.frexp(d)[1]
+    top = math.ldexp(1.0, e) if e < 1024 else math.inf
+    return [top, -top, math.nextafter(top, 0.0), -math.nextafter(top, 0.0)]
+
+
+@pytest.mark.parametrize("d", [5e-324, 1e-310, math.nextafter(SMALLEST_NORMAL, 0.0), SMALLEST_NORMAL,
+                               1e-300, 0.75, 1.0, 2.0, 3.0, 1e300, 2.0**1023, BIGGEST])
+def test_array_weights_at_the_edge_of_the_distances_binade(d):
+    """Differences on both sides of 2**e(d), where the one scale 2**-e stops
+    applying, and 0, -0, subnormals, ±inf and nan, interleaved in one array
+    and each alone. d covers subnormal distances, the smallest normal float,
+    e = 1024 (2**1023 and the largest float) and ordinary distances."""
+    e = math.frexp(d)[1]
+    values = binade_edge(d) + binade_edge(d / 2) + [
+        0.0, -0.0, 5e-324, -1e-310, math.ldexp(1.0, e - 60), math.inf, -math.inf, math.nan]
+    values += [v * k for v in binade_edge(d) for k in (0.5, 0.999, 1.001) if math.isfinite(v * k)]
+    diffs = np.array(values)
+    for spec in (WeightSpec.PYTHAGORAS, WeightSpec.SLOPE_PENALTY):
+        expected = np.array([scalar_weight(spec, x, 0.0, d) for x in values])
+        for rows in [slice(None)] + [slice(i, i + 1) for i in range(len(values))]:
+            got = edge_weights(spec, diffs[rows], np.zeros(len(diffs[rows])), d)
+            nan = np.isnan(expected[rows])  # math.hypot's nan and numpy's may differ in sign
+            assert np.isnan(got).tolist() == nan.tolist()
+            assert got[~nan].tobytes() == expected[rows][~nan].tobytes()
+
+
 @given(pairs=st.lists(st.tuples(any_heights, any_heights), max_size=40), d=any_distances,
        specs=st.permutations(list(WeightSpec)).flatmap(lambda s: st.sampled_from([s, s[:2], s[1:], s[:1]])))
 def test_specs_priced_together_equal_each_priced_alone(pairs, d, specs):
