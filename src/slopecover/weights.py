@@ -88,7 +88,7 @@ def _hypot(d: float, diff: np.ndarray) -> np.ndarray:
             limit, scale = (math.ldexp(1.0, e) if e < 1024 else math.inf), math.ldexp(1.0, -e)
             for start in range(0, len(diff), _BLOCK):
                 _scaled_norm(d, np.abs(diff[start:start + _BLOCK]), scale, out[start:start + _BLOCK])
-            rest = np.flatnonzero(~(np.abs(diff) < limit))
+            rest = np.flatnonzero(~((-limit < diff) & (diff < limit)))  # ~(|x| < limit), without an abs copy
         else:
             rest = np.arange(len(diff))
         for start in range(0, len(rest), _BLOCK):
