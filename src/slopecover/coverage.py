@@ -207,11 +207,11 @@ def validate_path(path: CoveragePath, grid: HeightGrid) -> None:
         i = int(failing.argmax())
         reason = next(text for mask, text in problems if mask[i])
         raise PathMismatchError(f"cell {cells[i, 0]},{cells[i, 1]} {reason}")
-    following = np.roll(cells, -1, axis=0)
-    jumps = np.abs(following - cells).sum(axis=1) != 1
+    # per column against its cyclic successor: a row-wise sum is a slow numpy reduction
+    jumps = sum(np.abs(np.roll(column, -1) - column) for column in cells.T) != 1
     if jumps.any():
         i = int(jumps.argmax())
-        (ra, ca), (rb, cb) = cells[i].tolist(), following[i].tolist()
+        (ra, ca), (rb, cb) = cells[i].tolist(), cells[(i + 1) % len(cells)].tolist()
         raise PathMismatchError(f"step {ra},{ca} -> {rb},{cb} is not 4-adjacent")
 
 

@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from slopecover.graph import region_count, slope_sum
-from slopecover.weights import _split
 
 _GENERATION_ATTEMPTS = 64
 _MASK_FREE = "."
@@ -244,14 +243,14 @@ def format_height_grid(grid: HeightGrid) -> str:
 
 # "%.9g" writes a finite height h != 0 in fixed notation when its decimal exponent E,
 # the one that puts N = round-half-even(|h| * 10**(8 - E)) in [10**8, 10**9), lies in
-# [-4, 8]. Every 10**p with p <= 22 is a double, so N is found exactly on arrays. Each
-# height becomes a record of 16 bytes, and the NUL bytes are removed at the end: byte 0
-# is "-" or NUL and byte 15 is " " or "\n". For E >= 0 the first digit is at byte 1,
-# the E digits after it at bytes 2 to E + 1, the point at E + 2 and the fraction after
-# it; for E < 0, "0." and -E - 1 zeros are at bytes 1 to 5 and the 9 digits at 6 to 14.
+# [-4, 8]. Every 10**(8 - E) is a double, so N is found on arrays, except for ties and
+# E estimates one off, which the one-value format writes. Each height becomes a record
+# of 16 bytes, and the NUL bytes are removed at the end: byte 0 is "-" or NUL and byte
+# 15 is " " or "\n". For E >= 0 the first digit is at byte 1, the E digits after it at
+# bytes 2 to E + 1, the point at E + 2 and the fraction after it; for E < 0, "0." and
+# -E - 1 zeros are at bytes 1 to 5 and the 9 digits at 6 to 14.
 _FORMAT_BLOCK = 1 << 14  # heights per array pass; one pass over all 1000² of them ran 1.5x slower
-_POW10 = 10.0 ** np.arange(23)
-_POW10_HIGH, _POW10_LOW = _split(_POW10)
+_POW10 = 10.0 ** np.arange(14)  # 10**(8 - E) for E in [-5, 8]
 # the ASCII of each 4-digit group, first digit in the low byte; from 10_000 + group
 # on, the same with the group's trailing zeros as NUL
 _group_digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T + ord("0")
@@ -274,38 +273,20 @@ _SPACE, _NEWLINE = np.uint64(ord(" ") << 56), np.uint64(ord("\n") << 56)
 _ONE_VALUE = np.frombuffer(b"%.9g\x00\x00\x00\x00", "<u8")[0]
 
 
-def _nine_digits(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """round-half-even(x * 10**p) of each x, exactly, for results below 2**52.
-
-    Dekker's product gives x * 10**p as hi + lo exactly. Only a hi ending in
-    exactly .5 is a tie, and the sign of lo settles it; elsewhere |lo| is
-    below hi's distance to the nearest half, so rint(hi) is the answer.
-    """
-    hi = x * _POW10[p]
-    n = np.rint(hi)
-    tie = np.flatnonzero(np.abs(hi - n) == 0.5)
-    if len(tie):
-        (x_high, x_low), p, hi = _split(x[tie]), p[tie], hi[tie]
-        high, low = _POW10_HIGH[p], _POW10_LOW[p]
-        lo = ((x_high * high - hi) + x_high * low + x_low * high) + x_low * low
-        n[tie] = np.where(lo == 0, n[tie], hi + np.copysign(0.5, lo))
-    return n
-
-
 def _height_text(h: np.ndarray, start: int, cols: int) -> bytes:
     """``"%.9g" % height`` of each height, followed by " ", or by "\\n" at the
     end of a grid row; h holds the row-major heights from flat index start on."""
     x = np.abs(h)
     fixed = (x >= 1e-5) & (x < 1e9)  # may be fixed notation; 1.0 stands in for the rest
     x = np.where(fixed, x, 1.0)
-    e = np.floor(np.log10(x)).astype(np.intp)  # E, or one off it near a power of 10
-    n = _nine_digits(x, 8 - e)
-    off = np.flatnonzero((n < 1e8) | (n >= 1e9))
-    if len(off):
-        e[off] += np.where(n[off] < 1e8, -1, 1)
-        n[off] = _nine_digits(x[off], np.clip(8 - e[off], 0, 22))
-    # exponent notation, subnormals and whatever else this kernel leaves out
-    other = np.flatnonzero((h != 0) & ~(fixed & (e >= -4) & (e <= 8) & (n >= 1e8) & (n < 1e9)))
+    # E, or one off it near a power of 10; capped at 8, since log10 rounds the float
+    # below 1e9 up to 9.0 and 8 - E indexes _POW10
+    e = np.minimum(np.floor(np.log10(x)), 8).astype(np.intp)
+    hi = x * _POW10[8 - e]  # rounded once, so rint(hi) is N unless hi ends in exactly .5
+    n = np.rint(hi)
+    n[np.abs(hi - n) == 0.5] = np.nan  # a tie, left out of [1e8, 1e9) like an E one off
+    # ties, E one off, exponent notation, subnormals and whatever else this kernel leaves out
+    other = np.flatnonzero((h != 0) & ~(fixed & (e >= -4) & (n >= 1e8) & (n < 1e9)))
     n *= fixed  # zeros write N = 0 as "0"
     n[other], e[other] = 0, 0  # a stand-in, replaced below
     n = n.astype(np.int32)

@@ -73,43 +73,30 @@ def _hypot(d: float, diff: np.ndarray) -> np.ndarray:
     CPython 3.11's vector_norm on the two values (d, |x|) scales both by the
     power of two that brings the larger into [0.5, 1). For a normal d in
     [2**(e-1), 2**e), every |x| < 2**e leaves d's exponent e the larger one,
-    so those rows share the scale 2**-e and d's terms are scalars: every row
-    is priced with it first. The rows at or above 2**e (the limit is inf when
-    e is 1024), and every row when d is subnormal or inf, are then priced
-    again with their own scale. Of those, an infinite value gives inf, and
-    rows whose larger value is below the smallest normal float, where the
-    scale would overflow, go through math.hypot itself.
+    so those rows share the scale 2**-e and d's terms are scalars. The other
+    rows (|x| at or above 2**e, where the limit is inf when e is 1024, nan
+    and inf), and every row when d is subnormal or inf, go through
+    math.hypot itself.
     """
     out = np.empty(len(diff))
-    # rows past the limit are priced again, and inf rows are set after
-    with np.errstate(over="ignore", invalid="ignore"):
-        if _SMALLEST_NORMAL <= d < math.inf:
-            e = math.frexp(d)[1]
-            limit, scale = (math.ldexp(1.0, e) if e < 1024 else math.inf), math.ldexp(1.0, -e)
+    if _SMALLEST_NORMAL <= d < math.inf:
+        e = math.frexp(d)[1]
+        limit, scale = (math.ldexp(1.0, e) if e < 1024 else math.inf), math.ldexp(1.0, -e)
+        with np.errstate(over="ignore", invalid="ignore"):  # rows past the limit are priced below
             for start in range(0, len(diff), _BLOCK):
                 _scaled_norm(d, np.abs(diff[start:start + _BLOCK]), scale, out[start:start + _BLOCK])
-            rest = np.flatnonzero(~((-limit < diff) & (diff < limit)))  # ~(|x| < limit), without an abs copy
-        else:
-            rest = np.arange(len(diff))
-        for start in range(0, len(rest), _BLOCK):
-            rows = rest[start:start + _BLOCK]
-            x = np.abs(diff.take(rows))
-            big = np.fmax(x, d)
-            block = _scaled_norm(d, x, np.ldexp(1.0, -np.frexp(big)[1]))
-            block[np.isinf(big)] = np.inf
-            for i in np.flatnonzero(big < _SMALLEST_NORMAL).tolist():
-                block[i] = math.hypot(d, x[i])
-            out[rows] = block
+        rest = np.flatnonzero(~((-limit < diff) & (diff < limit)))  # ~(|x| < limit), without an abs copy
+    else:
+        rest = np.arange(len(diff))
+    out[rest] = [math.hypot(d, x) for x in diff.take(rest).tolist()]
     return out
 
 
-def _scaled_norm(d: float, x: np.ndarray, scale: float | np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """vector_norm's steps on (d, x) at scale, one scalar or one per element,
-    into out if given: add the exact squares (Dekker products) of the scaled
-    values to csum = 1 with fast two-sums whose low parts go to frac1 and
-    frac2, take the square root, apply one differential correction and undo
-    the scale."""
+def _scaled_norm(d: float, x: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """vector_norm's steps on (d, x) at scale, into out: add the exact squares
+    (Dekker products) of the scaled values to csum = 1 with fast two-sums
+    whose low parts go to frac1 and frac2, take the square root, apply one
+    differential correction and undo the scale."""
     # frac1 and frac2 start from d's terms, not 0.0 + them: a zero's sign cannot
     # reach the result, since csum - 1 >= 0.25 and h > 0
     square, frac1 = _exact_square(d * scale)
@@ -123,19 +110,15 @@ def _scaled_norm(d: float, x: np.ndarray, scale: float | np.ndarray,
     csum, sum_low = _fast_two_sum(csum, -square)
     frac1, frac2 = frac1 - square_low, frac2 + sum_low
     h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h)
-    return np.divide(h, scale, out=out)
-
-
-def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x as high + low, each with at most 26 significant bits (Dekker's split)."""
-    t = x * _SPLIT
-    high = t - (t - x)
-    return high, x - high
+    np.divide(h, scale, out=out)
 
 
 def _exact_square(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x * x as an unevaluated sum hi + lo (Dekker's mul12 on split halves)."""
-    hi, lo = _split(x)
+    """x * x as an unevaluated sum hi + lo (Dekker's mul12 on x split into
+    halves of at most 26 significant bits)."""
+    t = x * _SPLIT
+    hi = t - (t - x)
+    lo = x - hi
     p = hi * hi
     q = hi * lo
     q += q  # hi * lo + lo * hi: doubling is exact

@@ -278,6 +278,17 @@ _BOUNDARY_HEIGHTS = {
 }
 
 
+@st.composite
+def near_nine_digit_heights(draw) -> float:
+    """(N + k/2) * 10**-p for N in [10**8, 10**9), k in {-1, 0, 1} and p in [-1, 13],
+    as the nearest float or one of its neighbours, of either sign: the ties and the
+    heights whose exponent estimate is one off, which the writer leaves to %."""
+    n, k = draw(st.integers(10**8, 10**9 - 1)), draw(st.sampled_from([-1, 0, 1]))
+    x = float(Fraction(2 * n + k, 2) * Fraction(10) ** -draw(st.integers(-1, 13)))
+    x = float(np.nextafter(x, draw(st.sampled_from([-np.inf, x, np.inf]))))
+    return draw(st.sampled_from([x, -x]))
+
+
 def _grid_of(values: list[float], rows: int = 2) -> HeightGrid:
     """The values and their negations, repeated to fill a grid of even sides."""
     heights = np.array(values + [-v for v in values])
@@ -295,6 +306,13 @@ class TestFormat:
                                      min_size=size, max_size=size))
         obstacle = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
         grid = HeightGrid(rows=shape[0], cols=shape[1], heights=heights, obstacle=obstacle, spacing=1.0)
+        assert format_height_grid(grid) == format_height_template(grid)
+
+    @settings(max_examples=300)
+    @given(heights=st.lists(near_nine_digit_heights(), min_size=8, max_size=8))
+    def test_matches_template_near_nine_digit_decimals(self, heights):
+        grid = HeightGrid(rows=2, cols=4, heights=heights, obstacle=np.zeros((2, 4), dtype=bool),
+                          spacing=1.0)
         assert format_height_grid(grid) == format_height_template(grid)
 
     @pytest.mark.parametrize("values", _BOUNDARY_HEIGHTS.values(), ids=_BOUNDARY_HEIGHTS.keys())
