@@ -31,20 +31,21 @@ _CANONICAL_HEADER = re.compile(rf"PATH (\d{{1,{_MAX_DIGITS}}}) (closed|open)")
 class CoveragePath:
     """Ordered fine-cell route; closed paths wrap from the last cell to the first.
 
-    cells is stored as a read-only (L, 2) int64 array of fine (row, col).
+    cells is stored as a read-only (L, 2) int64 array of fine (row, col): one
+    given that way, owning its memory, is kept, and anything else is copied.
     """
 
     cells: np.ndarray
     closed: bool = True
 
     def __post_init__(self) -> None:
-        cells = np.array(self.cells)
+        cells = np.asarray(self.cells)
         if cells.shape[:1] == (0,):  # empty, of any element shape
             cells = np.empty((0, 2), np.int64)
         integer = cells.dtype != bool and np.can_cast(cells.dtype, np.int64)  # can_cast passes bool
         if cells.ndim != 2 or cells.shape[1] != 2 or not integer:
             raise ValueError(f"cells must be (L, 2) integers, got {cells.dtype} {cells.shape}")
-        cells = cells.astype(np.int64, copy=False)
+        cells = cells.astype(np.int64, copy=cells.flags.writeable or not cells.flags.owndata)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
 
@@ -87,13 +88,13 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     successor[4 * a + 1 + down] = 4 * b + down
     successor[4 * b + 3 - 3 * down] = 4 * a + 2 + down
     order = _cycle_from_zero(successor)
+    del successor, a, b, down
     if len(order) != 4 * n:
-        raise ValueError(
-            f"tree walk covered {len(order)} of {4 * n} fine cells; "
-            "the tree does not span all free mega cells"
-        )
-    corners = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2)
-    return CoveragePath(cells=corners.take(order, axis=0), closed=True)
+        raise ValueError(f"tree walk covered {len(order)} of {4 * n} fine cells; "
+                         "the tree does not span all free mega cells")
+    cells = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2).take(order, axis=0)
+    cells.setflags(write=False)  # read-only and owning its memory: CoveragePath keeps it
+    return CoveragePath(cells=cells, closed=True)
 
 
 def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
@@ -104,43 +105,39 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
     the states, their positions drawn by a seeded generator (not every k-th
     index, whose gaps a corridor can stretch to the grid's length), are
     rulers. Walkers start from every ruler at once and step in array rounds
-    until each reaches the next ruler, recording for every state it passes
-    its owner (the ruler's rank among the rulers) and its distance from it.
-    One Python loop then follows the ruler chain from state 0, each ruler's
-    position being the sum of the gaps before it, and a scatter puts every
-    state at its owner's position plus its distance.
+    until each reaches the next ruler, recording only that ruler and the gap
+    to it. One Python loop then lists the chain of rulers from state 0, each
+    ruler's run starting after the gaps before it, and a second walk from the
+    chain's rulers writes each run's states in place.
     """
     states = len(successor)
     ruler = np.zeros(states, dtype=bool)
     ruler[np.random.default_rng(0).integers(states, size=int(states * _RULER_SHARE))] = True
     ruler[0] = True
     rulers = np.flatnonzero(ruler)
-    owner = np.full(states, len(rulers))  # rank len(rulers): on a cycle without a ruler
-    owner[rulers] = np.arange(len(rulers))
-    distance = np.zeros(states, dtype=np.int64)
     next_ruler, gap = np.empty_like(rulers), np.empty_like(rulers)
-    walker, at, steps = np.arange(len(rulers)), successor[rulers], 1
+    walker, at, steps = np.arange(len(rulers)), successor.take(rulers), 1
     while len(walker):
         arrived = ruler[at]
         if arrived.any():
-            next_ruler[walker[arrived]] = owner[at[arrived]]
+            next_ruler[walker[arrived]] = np.searchsorted(rulers, at[arrived])
             gap[walker[arrived]] = steps
             walker, at = walker[~arrived], at[~arrived]
-        owner[at] = walker
-        distance[at] = steps
-        at = successor[at]
+        at = successor.take(at)
         steps += 1
-    position = [-1] * (len(rulers) + 1)  # -1 stays for every ruler off state 0's cycle
-    next_ruler, gap = next_ruler.tolist(), gap.tolist()
-    r = covered = 0
-    while position[r] < 0:
-        position[r] = covered
-        covered += gap[r]
-        r = next_ruler[r]
-    start = np.array(position)[owner]
-    on_cycle = start >= 0
-    order = np.empty(covered, dtype=np.int64)
-    order[(start + distance)[on_cycle]] = np.flatnonzero(on_cycle)
+    chain, follows = [0], next_ruler.tolist()
+    while follows[chain[-1]]:
+        chain.append(follows[chain[-1]])
+    length = gap.take(chain)
+    order = np.empty(length.sum(), dtype=np.int64)
+    # longest runs first: the going[s] walkers with more than s states are a prefix
+    longest_first = np.argsort(-length)
+    at, start = rulers.take(chain)[longest_first], (np.cumsum(length) - length)[longest_first]
+    going = len(chain) - np.bincount(length).cumsum()
+    for steps, walkers in enumerate(going[:-1].tolist()):
+        at = at[:walkers]
+        order[start[:walkers] + steps] = at
+        at = successor.take(at)
     return order
 
 

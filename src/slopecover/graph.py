@@ -165,14 +165,18 @@ def average_slope(mega: MegaGrid) -> float:
 class SpanningTree:
     """Acyclic edge subset connecting all nodes, rooted at node 0.
 
-    edges is a sorted int64 array of indices into graph.edges.
+    edges is a sorted int64 array of indices into graph.edges, stored read-only:
+    one given that way, owning its memory, is kept, and anything else is copied.
     """
 
     graph: CoverageGraph
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        self.edges.setflags(write=False)
+        edges = np.asarray(self.edges)
+        edges = edges.astype(np.int64, copy=edges.flags.writeable or not edges.flags.owndata)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
 
 
 def minimum_spanning_tree(g: CoverageGraph, weights: np.ndarray) -> SpanningTree:

@@ -242,6 +242,41 @@ class TestWalkOracle:
         assert "does not span all free mega cells" in str(got.value)
 
 
+
+def pointer_chase_from_zero(successor: np.ndarray) -> list[int]:
+    """The states of successor's cycle through 0, one step at a time."""
+    order = [0]
+    while (state := int(successor[order[-1]])) != 0:
+        order.append(state)
+    return order
+
+
+@settings(max_examples=200)
+@given(states=st.integers(1, 3000), cuts=st.integers(0, 300), zero_fixed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(states=1, cuts=0, zero_fixed=False, seed=0)
+@example(states=3000, cuts=0, zero_fixed=False, seed=0)  # one cycle through every state
+@example(states=3000, cuts=300, zero_fixed=True, seed=1)
+def test_cycle_from_zero_matches_pointer_chase(states, cuts, zero_fixed, seed):
+    """The list ranking on random permutations: the states shuffled, then cut
+    into cycles. With up to 300 cycles and about states / 128 rulers, most
+    cycles have no ruler on them; zero_fixed makes state 0 a fixed point."""
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(states)
+    bounds = [0, states, *rng.integers(0, states, cuts).tolist()]
+    if zero_fixed:
+        shuffled = np.concatenate([[0], shuffled[shuffled != 0]])
+        bounds.append(1)
+    successor = np.empty(states, dtype=np.int64)
+    bounds = sorted(set(bounds))
+    for low, high in zip(bounds, bounds[1:]):
+        cycle = shuffled[low:high]
+        successor[cycle] = np.roll(cycle, -1)
+    order = coverage._cycle_from_zero(successor)
+    assert order.dtype == np.int64
+    assert order.tolist() == pointer_chase_from_zero(successor)
+
+
 class TestPathCost:
     def test_flat_closed_path_costs_length_times_spacing(self):
         grid = HeightGrid(rows=2, cols=2, heights=[3.0] * 4, obstacle=[False] * 4, spacing=0.5)
@@ -400,6 +435,16 @@ def test_path_cells_are_read_only_int64_pairs():
     stored = CoveragePath(cells=cells).cells
     assert not stored.flags.writeable and cells.flags.writeable
     assert not np.shares_memory(stored, cells)
+
+
+def test_path_keeps_read_only_cells_that_own_their_memory():
+    route = circumnavigate(tree_for(mega([[0.0, 1.0], [2.0, 3.0]])))
+    assert np.shares_memory(CoveragePath(cells=route.cells).cells, route.cells)
+    cells = np.array([[0, 0], [0, 1]], dtype=np.int64)
+    view = cells.view()  # read-only, but the caller can still write cells
+    view.setflags(write=False)
+    stored = CoveragePath(cells=view).cells
+    assert not stored.flags.writeable and not np.shares_memory(stored, cells)
 
 
 def test_sacrificed_cells_counted():

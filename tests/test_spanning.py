@@ -51,6 +51,23 @@ def test_single_node_tree_is_empty(build):
     assert g.nodes.tolist() == [[0, 0]]  # the root, node 0
 
 
+def test_tree_edges_are_kept_read_only_or_copied():
+    """SpanningTree keeps a read-only int64 array that owns its memory and
+    copies anything else, so no caller can write the tree's edges."""
+    g = build_graph(mega(np.zeros((2, 2))))
+    from_list = SpanningTree(graph=g, edges=[0, 1, 2])
+    assert from_list.edges.tolist() == [0, 1, 2]
+    assert from_list.edges.dtype == np.int64 and not from_list.edges.flags.writeable
+    edges = np.array([0, 1, 2], dtype=np.int64)
+    tree = SpanningTree(graph=g, edges=edges)
+    assert edges.flags.writeable and not np.shares_memory(tree.edges, edges)
+    assert np.shares_memory(SpanningTree(graph=g, edges=tree.edges).edges, tree.edges)
+    for tree in (mst(g, WeightSpec.PYTHAGORAS), classical_spanning_tree(g)):
+        assert tree.edges.dtype == np.int64 and not tree.edges.flags.writeable
+        with pytest.raises(ValueError):
+            tree.edges[0] = 1
+
+
 def test_flat_square_ties_break_canonically():
     g = build_graph(mega(np.zeros((2, 2)), spacing=3.0))
     tree = mst(g, WeightSpec.PYTHAGORAS)
