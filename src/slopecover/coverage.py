@@ -90,8 +90,10 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     order = _cycle_from_zero(successor)
     del successor, a, b, down
     if len(order) != 4 * n:
-        raise ValueError(f"tree walk covered {len(order)} of {4 * n} fine cells; "
-                         "the tree does not span all free mega cells")
+        raise ValueError(
+            f"tree walk covered {len(order)} of {4 * n} fine cells; "
+            "the tree does not span all free mega cells"
+        )
     cells = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2).take(order, axis=0)
     cells.setflags(write=False)  # read-only and owning its memory: CoveragePath keeps it
     return CoveragePath(cells=cells, closed=True)
@@ -130,14 +132,12 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
         chain.append(follows[chain[-1]])
     length = gap.take(chain)
     order = np.empty(length.sum(), dtype=np.int64)
-    # longest runs first: the going[s] walkers with more than s states are a prefix
-    longest_first = np.argsort(-length)
-    at, start = rulers.take(chain)[longest_first], (np.cumsum(length) - length)[longest_first]
-    going = len(chain) - np.bincount(length).cumsum()
-    for steps, walkers in enumerate(going[:-1].tolist()):
-        at = at[:walkers]
-        order[start[:walkers] + steps] = at
-        at = successor.take(at)
+    at, start, steps = rulers.take(chain), np.cumsum(length) - length, 0
+    while len(at):
+        order[start + steps] = at
+        steps += 1
+        going = length > steps
+        at, start, length = successor.take(at[going]), start[going], length[going]
     return order
 
 

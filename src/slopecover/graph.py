@@ -165,8 +165,7 @@ def average_slope(mega: MegaGrid) -> float:
 class SpanningTree:
     """Acyclic edge subset connecting all nodes, rooted at node 0.
 
-    edges is a sorted int64 array of indices into graph.edges, stored read-only:
-    one given that way, owning its memory, is kept, and anything else is copied.
+    edges is a sorted read-only int64 array of indices into graph.edges.
     """
 
     graph: CoverageGraph

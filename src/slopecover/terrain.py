@@ -355,7 +355,9 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     else:
         heights = field * spec.roughness
     if not np.isfinite(heights).all():
-        raise ValueError(f"spacing {spec.spacing!r} with roughness {spec.roughness!r} overflows the heights")
+        raise ValueError(
+            f"spacing {spec.spacing!r} with roughness {spec.roughness!r} overflows the heights"
+        )
     return HeightGrid(
         rows=spec.rows, cols=spec.cols, heights=heights, obstacle=obstacle, spacing=spec.spacing
     )

@@ -242,7 +242,6 @@ class TestWalkOracle:
         assert "does not span all free mega cells" in str(got.value)
 
 
-
 def pointer_chase_from_zero(successor: np.ndarray) -> list[int]:
     """The states of successor's cycle through 0, one step at a time."""
     order = [0]
@@ -267,8 +266,8 @@ def test_cycle_from_zero_matches_pointer_chase(states, cuts, zero_fixed, seed):
     if zero_fixed:
         shuffled = np.concatenate([[0], shuffled[shuffled != 0]])
         bounds.append(1)
-    successor = np.empty(states, dtype=np.int64)
     bounds = sorted(set(bounds))
+    successor = np.empty(states, dtype=np.int64)
     for low, high in zip(bounds, bounds[1:]):
         cycle = shuffled[low:high]
         successor[cycle] = np.roll(cycle, -1)
