@@ -9,7 +9,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from slopecover.graph import SpanningTree
+from slopecover.graph import SpanningTree, frozen
 from slopecover.terrain import HeightGrid, blocked_mega_cells
 from slopecover.weights import WeightSpec, edge_weights, total_weight
 
@@ -31,8 +31,8 @@ _CANONICAL_HEADER = re.compile(rf"PATH (\d{{1,{_MAX_DIGITS}}}) (closed|open)")
 class CoveragePath:
     """Ordered fine-cell route; closed paths wrap from the last cell to the first.
 
-    cells is stored as a read-only (L, 2) int64 array of fine (row, col): one
-    given that way, owning its memory, is kept, and anything else is copied.
+    cells is stored as a read-only (L, 2) int64 array of fine (row, col), as
+    frozen() stores it.
     """
 
     cells: np.ndarray
@@ -45,9 +45,7 @@ class CoveragePath:
         integer = cells.dtype != bool and np.can_cast(cells.dtype, np.int64)  # can_cast passes bool
         if cells.ndim != 2 or cells.shape[1] != 2 or not integer:
             raise ValueError(f"cells must be (L, 2) integers, got {cells.dtype} {cells.shape}")
-        cells = cells.astype(np.int64, copy=cells.flags.writeable or not cells.flags.owndata)
-        cells.setflags(write=False)
-        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cells", frozen(cells, np.int64))
 
 
 class PathParseError(ValueError):

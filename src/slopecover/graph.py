@@ -15,6 +15,15 @@ if TYPE_CHECKING:
     from slopecover.terrain import MegaGrid
 
 
+def frozen(values: object, dtype: type) -> np.ndarray:
+    """values as a read-only dtype array: one that is that already and owns
+    its memory is kept, and anything else is copied."""
+    array = np.asarray(values)
+    array = array.astype(dtype, copy=array.flags.writeable or not array.flags.owndata)
+    array.setflags(write=False)
+    return array
+
+
 class DisconnectedGridError(ValueError):
     """Free mega cells do not form exactly one region; one closed tour needs one."""
 
@@ -37,6 +46,10 @@ class CoverageGraph:
     mega: MegaGrid
     nodes: np.ndarray
     edges: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("nodes", "edges"):
+            object.__setattr__(self, name, frozen(getattr(self, name), np.int64))
 
     def weights(self, spec: WeightSpec) -> np.ndarray:
         """edge_weights under spec of every edge, in canonical order."""
@@ -75,10 +88,12 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     node = np.cumsum(free) - 1
     cell, down = np.divmod(np.flatnonzero(_pair_mask(free)), 2)
     edges = np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1)
-    graph = CoverageGraph(mega=mega, nodes=np.argwhere(free), edges=edges)
-    for array in (graph.nodes, graph.edges):
-        array.setflags(write=False)
-    return graph
+    # argwhere's column-major layout, which the walk reads faster, in an array that owns its memory
+    nodes = np.empty((np.count_nonzero(free), 2), dtype=np.int64, order="F")
+    nodes[:, 0], nodes[:, 1] = np.nonzero(free)
+    for array in (nodes, edges):
+        array.setflags(write=False)  # read-only and owning its memory: CoverageGraph keeps it
+    return CoverageGraph(mega=mega, nodes=nodes, edges=edges)
 
 
 def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -172,10 +187,7 @@ class SpanningTree:
     edges: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = np.asarray(self.edges)
-        edges = edges.astype(np.int64, copy=edges.flags.writeable or not edges.flags.owndata)
-        edges.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", frozen(self.edges, np.int64))
 
 
 def minimum_spanning_tree(g: CoverageGraph, weights: np.ndarray) -> SpanningTree:

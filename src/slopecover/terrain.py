@@ -6,10 +6,11 @@ import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from slopecover.graph import region_count, slope_sum
+from slopecover.graph import frozen, region_count, slope_sum
 
 _GENERATION_ATTEMPTS = 64
 _MASK_FREE = "."
@@ -41,13 +42,13 @@ def _check_even(rows: int, cols: int) -> None:
 
 def _freeze_grid(grid: HeightGrid | MegaGrid, mask: str, max_spacing: float) -> None:
     """Check and store the fields both grids share as plain ints, a float and
-    read-only (rows, cols) arrays; mask names the boolean field."""
+    read-only (rows, cols) views of frozen() arrays; mask names the boolean field."""
     rows, cols, spacing = int(grid.rows), int(grid.cols), float(grid.spacing)
     if rows <= 0 or cols <= 0:
         raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
     _check_spacing(spacing, max_spacing)
-    heights = np.asarray(grid.heights, dtype=np.float64)
-    flags = np.asarray(getattr(grid, mask), dtype=bool)
+    heights = frozen(grid.heights, np.float64)
+    flags = frozen(getattr(grid, mask), bool)
     for name, array in (("heights", heights), (f"{mask} flags", flags)):
         if array.size != rows * cols:
             raise ValueError(f"expected {rows * cols} {name}, got {array.size}")
@@ -55,7 +56,7 @@ def _freeze_grid(grid: HeightGrid | MegaGrid, mask: str, max_spacing: float) -> 
         raise ValueError("heights must be finite (no nan or inf)")
     fields = {"rows": rows, "cols": cols, "spacing": spacing}
     for name, array in (("heights", heights), (mask, flags)):
-        fields[name] = array.reshape(rows, cols).copy()
+        fields[name] = array.reshape(rows, cols)  # a view; a copy when a column-major array changes shape
         fields[name].setflags(write=False)
     for name, value in fields.items():
         object.__setattr__(grid, name, value)
@@ -219,6 +220,8 @@ def parse_height_grid(text: str) -> HeightGrid:
             if invalid:
                 raise TerrainParseError(f"mask row {i}: invalid character {invalid[0]!r}")
         obstacle = np.frombuffer("".join(mask).encode("ascii"), np.uint8) == ord(_MASK_OBSTACLE)
+    for array in (values, obstacle):
+        array.setflags(write=False)  # read-only and owning its memory: HeightGrid keeps it
     return HeightGrid(rows=rows, cols=cols, heights=values, obstacle=obstacle, spacing=spacing)
 
 
@@ -226,19 +229,22 @@ def format_height_grid(grid: HeightGrid) -> str:
     """Serialize a grid to the terrain text format, each height written as
     ``"%.9g" % height`` writes it, byte for byte; the spacing too, unless only
     its repr reads back as the same float."""
+    return b"".join(_grid_text(grid)).decode("ascii")
+
+
+def _grid_text(grid: HeightGrid) -> Iterator[bytes]:
+    """format_height_grid's text in ASCII pieces: the header, the heights
+    _FORMAT_BLOCK at a time, then the mask section if any cell is an obstacle."""
     flat = grid.heights.ravel()
     spacing = f"{grid.spacing:.9g}"
     spacing = spacing if float(spacing) == grid.spacing else repr(grid.spacing)
-    parts = [f"{grid.rows} {grid.cols} {spacing}\n".encode("ascii")]
-    parts += [_height_text(flat[start:start + _FORMAT_BLOCK], start, grid.cols)
-              for start in range(0, flat.size, _FORMAT_BLOCK)]
+    yield f"{grid.rows} {grid.cols} {spacing}\n".encode("ascii")
+    for start in range(0, flat.size, _FORMAT_BLOCK):
+        yield _height_text(flat[start:start + _FORMAT_BLOCK], start, grid.cols)
     if grid.obstacle.any():
         mask = np.full((grid.rows, grid.cols + 1), ord("\n"), dtype=np.uint8)
-        mask[:, :-1] = np.where(grid.obstacle, ord(_MASK_OBSTACLE), ord(_MASK_FREE))
-        parts += [b"MASK\n", mask.tobytes()]
-    text = b"".join(parts)
-    del parts  # so the blocks are freed before decoding copies the text
-    return text.decode("ascii")
+        mask[:, :-1] = np.where(grid.obstacle, np.uint8(ord(_MASK_OBSTACLE)), np.uint8(ord(_MASK_FREE)))
+        yield from (b"MASK\n", mask.tobytes())
 
 
 # "%.9g" writes a finite height h != 0 in fixed notation when its decimal exponent E,
@@ -322,7 +328,9 @@ def load_height_grid(path: str | Path) -> HeightGrid:
 
 
 def save_height_grid(grid: HeightGrid, path: str | Path) -> None:
-    Path(path).write_text(format_height_grid(grid), encoding="utf-8", newline="\n")
+    """Write format_height_grid's text to path, block by block."""
+    with open(path, "wb") as out:
+        out.writelines(_grid_text(grid))
 
 
 def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:

@@ -36,6 +36,7 @@ from slopecover.terrain import (
     format_height_grid,
     generate_terrain,
     parse_height_grid,
+    save_height_grid,
 )
 
 
@@ -337,6 +338,16 @@ class TestFormat:
                           obstacle=rng.random(shape) < 0.05, spacing=0.5)
         assert grid.heights.size > terrain._FORMAT_BLOCK
         assert format_height_grid(grid) == format_height_template(grid)
+
+    @pytest.mark.parametrize("obstacles", [0.05, 0.0], ids=["mask", "no-mask"])
+    def test_saved_bytes_are_the_formatted_text(self, tmp_path, obstacles):
+        rng = np.random.default_rng(5)
+        grid = HeightGrid(rows=130, cols=130, heights=rng.normal(0.0, 20.0, (130, 130)),
+                          obstacle=rng.random((130, 130)) < obstacles, spacing=0.5)
+        assert grid.heights.size > terrain._FORMAT_BLOCK
+        assert grid.obstacle.any() == (obstacles > 0)
+        save_height_grid(grid, tmp_path / "t.txt")
+        assert (tmp_path / "t.txt").read_bytes() == format_height_grid(grid).encode("ascii")
 
 
 def parse_outcome(parse, text):
