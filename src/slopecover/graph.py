@@ -108,10 +108,14 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
     compact the live edges and tied picks: faster than boolean masks here.
     """
     chosen = np.zeros(len(a), dtype=bool)
-    edge = np.flatnonzero(a != b)  # live edges, ascending; self-loops never join
-    ra, rb, w = a[edge], b[edge], weights[edge]  # their ends' regions and their weights
-    regions = n
-    while len(edge):
+    # edges ascending, their ends' regions and weights, the region count; round 1 reads the caller's arrays
+    edge, ra, rb, w, regions = np.arange(len(a)), a, b, weights, n
+    while True:
+        live = np.flatnonzero(ra != rb)  # an edge inside one region never joins, nor does a self-loop
+        if not len(live):
+            return np.flatnonzero(chosen)
+        if len(live) < len(edge):
+            edge, ra, rb, w = edge.take(live), ra.take(live), rb.take(live), w.take(live)
         least = np.full(regions, np.inf)
         np.minimum.at(least, ra, w)
         np.minimum.at(least, rb, w)
@@ -135,9 +139,6 @@ def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -
         label = (np.cumsum(root) - 1)[parent]
         regions = int(root.sum())
         ra, rb = label[ra], label[rb]
-        live = np.flatnonzero(ra != rb)
-        edge, ra, rb, w = edge.take(live), ra.take(live), rb.take(live), w.take(live)
-    return np.flatnonzero(chosen)
 
 
 def region_count(blocked: np.ndarray) -> int:

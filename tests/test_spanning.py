@@ -250,8 +250,15 @@ def test_different_rises_with_equal_weights_keep_index_order(heights, spacing, s
 
 
 def assert_same_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> None:
-    got, expected = spanning_forest(n, a, b, weights), boolean_mask_spanning_forest(n, a, b, weights)
+    """spanning_forest builds the boolean-mask forest byte for byte, reading
+    read-only copies of its inputs and leaving them unchanged."""
+    inputs = [np.array(values) for values in (a, b, weights)]
+    for values in inputs:
+        values.setflags(write=False)
+    got, expected = spanning_forest(n, *inputs), boolean_mask_spanning_forest(n, a, b, weights)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    for values, original in zip(inputs, (a, b, weights)):
+        assert values.dtype == original.dtype and values.tobytes() == original.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
