@@ -25,7 +25,7 @@ PEAKS_MIB = {
     "load": 8.78,
     "graph": 6.09,
     "pricing": 5.08,
-    "mst": 9.78,  # 11.62 while the first Borůvka round copied a, b and weights
+    "mst": 9.78,  # its budget stays below 11.62, the peak of a first round that copies a, b and weights
     "dfs": 7.30,
     "walk": 9.30,
     "path_cost": 4.40,
