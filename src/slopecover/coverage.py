@@ -13,9 +13,6 @@ from slopecover.graph import SpanningTree, frozen
 from slopecover.terrain import HeightGrid, blocked_mega_cells
 from slopecover.weights import WeightSpec, edge_weights, total_weight
 
-# (row, col) offsets of the sub-cell corners of a mega cell, clockwise
-# starting top-left: NW, NE, SE, SW
-_CORNER_OFFSET = ((0, 0), (0, 1), (1, 1), (1, 0))
 # the share of walk states that are rulers of the walk's list ranking
 _RULER_SHARE = 2.0 ** -7
 # route cells priced, or written, at a time
@@ -72,48 +69,51 @@ def circumnavigate(tree: SpanningTree) -> CoveragePath:
     if not n:
         raise ValueError("tree walk covered 0 fine cells; "
                          "the graph has no free mega cell to start from")
-    # state 4u + k is corner k of node u. From corner k the walk crosses the
-    # tree edge in direction k (up, right, down, left), if any, arriving at
-    # the corner before k of the neighbour; otherwise it turns to corner k + 1.
-    successor = np.arange(1, 4 * n + 1)
-    successor[3::4] -= 4
+    # state r * cols + c is fine cell (r, c), blocked or not. Each pair of fine
+    # rows turns clockwise: NW + 1 is NE, NE + cols SE, SE - 1 SW, SW - cols NW.
+    cols = 2 * g.mega.cols
+    successor = np.arange(2 * g.mega.rows * cols)
+    successor.reshape(-1, 2, cols)[:] += np.tile([[1, cols], [-cols, -1]], cols // 2)
+    # A tree edge from a, its upper or left end, to b sends a's NE (SE when
+    # down) into b, and the cell before that one in b's clockwise turn back into a.
     # row gathers by take: numpy's 2-D fancy indexing is several times slower
     a, b = g.edges.take(tree.edges, axis=0).T
-    rows = g.nodes[:, 0]
-    down = rows.take(a) != rows.take(b)  # else the edge goes right from a
-    # right edges take a's corner 1 to b's corner 0 and b's corner 3 to a's corner 2;
-    # down edges take a's corner 2 to b's corner 1 and b's corner 0 to a's corner 3
-    successor[4 * a + 1 + down] = 4 * b + down
-    successor[4 * b + 3 - 3 * down] = 4 * a + 2 + down
-    order = _cycle_from_zero(successor)
-    del successor, a, b, down
+    row, col = g.nodes.T  # indexed, not taken: take copies a strided column first
+    down = row[a] != row[b]
+    step = np.where(down, cols, 1)
+    out = (2 * row[a] + down) * cols + 2 * col[a] + 1
+    successor[out] = out + step
+    out += cols + 1 - 2 * down
+    successor[out] = out - step
+    del a, b, down, step, out  # freed before the walk builds its arrays
+    order = _cycle_from(successor, 2 * int(row[0]) * cols + 2 * int(col[0]))
+    del successor
     if len(order) != 4 * n:
-        raise ValueError(
-            f"tree walk covered {len(order)} of {4 * n} fine cells; "
-            "the tree does not span all free mega cells"
-        )
-    cells = (2 * g.nodes[:, None, :] + _CORNER_OFFSET).reshape(-1, 2).take(order, axis=0)
+        raise ValueError(f"tree walk covered {len(order)} of {4 * n} fine cells; "
+                         "the tree does not span all free mega cells")
+    cells = np.empty((len(order), 2), dtype=np.int64)
+    np.divmod(order, cols, out=(cells[:, 0], cells[:, 1]))
     cells.setflags(write=False)  # read-only and owning its memory: CoveragePath keeps it
     return CoveragePath(cells=cells, closed=True)
 
 
-def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
-    """The states of the permutation successor's cycle through state 0, in
-    walk order from 0.
+def _cycle_from(successor: np.ndarray, start: int) -> np.ndarray:
+    """The states of the permutation successor's cycle through state start,
+    in walk order from start.
 
-    List ranking by a ruling set: state 0 and about a share _RULER_SHARE of
+    List ranking by a ruling set: start and about a share _RULER_SHARE of
     the states, their positions drawn by a seeded generator (not every k-th
     index, whose gaps a corridor can stretch to the grid's length), are
     rulers. Walkers start from every ruler at once and step in array rounds
     until each reaches the next ruler, recording only that ruler and the gap
-    to it. One Python loop then lists the chain of rulers from state 0, each
-    ruler's run starting after the gaps before it, and a second walk from the
-    chain's rulers writes each run's states in place.
+    to it. One Python loop then lists the chain of rulers from start round
+    to start, each ruler's run starting after the gaps before it, and a
+    second walk from the chain's rulers writes each run's states in place.
     """
     states = len(successor)
     ruler = np.zeros(states, dtype=bool)
     ruler[np.random.default_rng(0).integers(states, size=int(states * _RULER_SHARE))] = True
-    ruler[0] = True
+    ruler[start] = True
     rulers = np.flatnonzero(ruler)
     next_ruler, gap = np.empty_like(rulers), np.empty_like(rulers)
     walker, at, steps = np.arange(len(rulers)), successor.take(rulers), 1
@@ -125,17 +125,17 @@ def _cycle_from_zero(successor: np.ndarray) -> np.ndarray:
             walker, at = walker[~arrived], at[~arrived]
         at = successor.take(at)
         steps += 1
-    chain, follows = [0], next_ruler.tolist()
-    while follows[chain[-1]]:
+    chain, follows = [int(np.searchsorted(rulers, start))], next_ruler.tolist()
+    while follows[chain[-1]] != chain[0]:
         chain.append(follows[chain[-1]])
     length = gap.take(chain)
     order = np.empty(length.sum(), dtype=np.int64)
-    at, start, steps = rulers.take(chain), np.cumsum(length) - length, 0
+    at, begin, steps = rulers.take(chain), np.cumsum(length) - length, 0
     while len(at):
-        order[start + steps] = at
+        order[begin + steps] = at
         steps += 1
         going = length > steps
-        at, start, length = successor.take(at[going]), start[going], length[going]
+        at, begin, length = successor.take(at[going]), begin[going], length[going]
     return order
 
 

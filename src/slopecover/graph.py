@@ -38,9 +38,9 @@ class DisconnectedGridError(ValueError):
 class CoverageGraph:
     """Immutable topology of the free mega cells, stored as arrays.
 
-    nodes is the (n, 2) array of mega (row, col), row-major. edges is the
-    (E, 2) array of node pairs (a, b) with a < b, in the canonical order of
-    _pair_mask. Edge costs depend on a weight spec; weights() computes them.
+    nodes is the (n, 2) array of mega (row, col), in row-major order. edges
+    is the (E, 2) array of node pairs (a, b) with a < b, in the canonical
+    order of _pair_mask. Edge costs depend on a weight spec: see weights().
     """
 
     mega: MegaGrid
@@ -88,9 +88,7 @@ def build_graph(mega: MegaGrid) -> CoverageGraph:
     node = np.cumsum(free) - 1
     cell, down = np.divmod(np.flatnonzero(_pair_mask(free)), 2)
     edges = np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1)
-    # argwhere's column-major layout, which the walk reads faster, in an array that owns its memory
-    nodes = np.empty((np.count_nonzero(free), 2), dtype=np.int64, order="F")
-    nodes[:, 0], nodes[:, 1] = np.nonzero(free)
+    nodes = np.column_stack(np.nonzero(free))
     for array in (nodes, edges):
         array.setflags(write=False)  # read-only and owning its memory: CoverageGraph keeps it
     return CoverageGraph(mega=mega, nodes=nodes, edges=edges)

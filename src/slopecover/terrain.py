@@ -347,7 +347,8 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
     field = _midpoint_displacement(rng, spec.rows, spec.cols)
     for _ in range(_GENERATION_ATTEMPTS):
         obstacle = _place_obstacles(rng, spec.rows, spec.cols, spec.max_obstacles)
-        if region_count(blocked_mega_cells(obstacle)) == 1:
+        blocked = blocked_mega_cells(obstacle)
+        if region_count(blocked) == 1:
             break
     else:
         raise TerrainGenerationError(
@@ -357,7 +358,7 @@ def generate_terrain(spec: TerrainGenSpec) -> HeightGrid:
         )
     # rescale so the aggregated average slope is spec.roughness; with no free
     # adjacent pair (a single mega cell) that target is undefined
-    total, count = slope_sum(_block_means(field), blocked_mega_cells(obstacle))
+    total, count = slope_sum(_block_means(field), blocked)
     if count > 0 and total > 0.0:
         heights = field * (spec.roughness * (2.0 * spec.spacing) * count / total)
     else:

@@ -242,10 +242,10 @@ class TestWalkOracle:
         assert "does not span all free mega cells" in str(got.value)
 
 
-def pointer_chase_from_zero(successor: np.ndarray) -> list[int]:
-    """The states of successor's cycle through 0, one step at a time."""
-    order = [0]
-    while (state := int(successor[order[-1]])) != 0:
+def pointer_chase_from(successor: np.ndarray, start: int) -> list[int]:
+    """The states of successor's cycle through start, one step at a time."""
+    order = [start]
+    while (state := int(successor[order[-1]])) != start:
         order.append(state)
     return order
 
@@ -258,7 +258,8 @@ def pointer_chase_from_zero(successor: np.ndarray) -> list[int]:
 @example(states=3000, cuts=300, zero_fixed=True, seed=1)
 def test_cycle_from_zero_matches_pointer_chase(states, cuts, zero_fixed, seed):
     """The list ranking on random permutations: the states shuffled, then cut
-    into cycles. With up to 300 cycles and about states / 128 rulers, most
+    into cycles, walked from state 0 and from a state drawn by the same
+    generator. With up to 300 cycles and about states / 128 rulers, most
     cycles have no ruler on them; zero_fixed makes state 0 a fixed point."""
     rng = np.random.default_rng(seed)
     shuffled = rng.permutation(states)
@@ -271,9 +272,10 @@ def test_cycle_from_zero_matches_pointer_chase(states, cuts, zero_fixed, seed):
     for low, high in zip(bounds, bounds[1:]):
         cycle = shuffled[low:high]
         successor[cycle] = np.roll(cycle, -1)
-    order = coverage._cycle_from_zero(successor)
-    assert order.dtype == np.int64
-    assert order.tolist() == pointer_chase_from_zero(successor)
+    for start in (0, int(rng.integers(states))):
+        order = coverage._cycle_from(successor, start)
+        assert order.dtype == np.int64
+        assert order.tolist() == pointer_chase_from(successor, start)
 
 
 class TestPathCost:

@@ -27,7 +27,7 @@ PEAKS_MIB = {
     "pricing": 5.08,
     "mst": 9.78,  # its budget stays below 11.62, the peak of a first round that copies a, b and weights
     "dfs": 7.30,
-    "walk": 9.30,
+    "walk": 5.58,
     "path_cost": 4.40,
     "save_path": 3.05,
 }
