@@ -144,21 +144,24 @@ def path_cost(path: CoveragePath, grid: HeightGrid, spec: WeightSpec) -> float:
     added in route order. Raises ValueError, naming the first cell outside the
     grid if there is one, or when the total is not finite.
 
-    The steps are priced _ROUTE_BLOCK at a time. Each block's first weight has
-    the running total added to it, so the additions are the one left-to-right
-    sequence of the whole route."""
-    try:
-        index = np.ravel_multi_index(path.cells.T, grid.heights.shape)
-    except ValueError:  # a cell outside the grid
-        i = ((path.cells < 0) | (path.cells >= grid.heights.shape)).any(axis=1).argmax()
-        raise ValueError(f"cell {path.cells[i, 0]},{path.cells[i, 1]} lies outside the grid") from None
-    if len(index) < 2:
+    Every cell is checked before any step is priced. The steps are priced
+    _ROUTE_BLOCK at a time, each block indexed from its row and column slices.
+    Each block's first weight has the running total added to it, so the
+    additions are the one left-to-right sequence of the whole route."""
+    cells, (rows, cols) = path.cells, grid.heights.shape
+    if len(cells) and (cells.min() < 0 or cells[:, 0].max() >= rows or cells[:, 1].max() >= cols):
+        i = ((cells < 0) | (cells >= (rows, cols))).any(axis=1).argmax()
+        raise ValueError(f"cell {cells[i, 0]},{cells[i, 1]} lies outside the grid")
+    if len(cells) < 2:
         return 0.0
-    if path.closed:
-        index = np.append(index, index[0])
+    row, col = cells.T
     heights, total = grid.heights.ravel(), 0.0
-    for start in range(0, len(index) - 1, _ROUTE_BLOCK):
-        block = heights.take(index[start:start + _ROUTE_BLOCK + 1])
+    for start in range(0, len(cells) - 1 + path.closed, _ROUTE_BLOCK):
+        stop = start + _ROUTE_BLOCK + 1
+        index = row[start:stop] * cols + col[start:stop]
+        if path.closed and stop > len(cells):  # the closing step, back to the first cell
+            index = np.concatenate([index, row[:1] * cols + col[:1]])
+        block = heights.take(index)
         weights = edge_weights(spec, block[:-1], block[1:], grid.spacing)
         with np.errstate(over="ignore"):  # total_weight reports an overflow
             weights[0] += total

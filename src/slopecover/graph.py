@@ -3,7 +3,7 @@ demand, and its spanning trees: the weighted MST and a weight-blind baseline."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
@@ -36,20 +36,30 @@ class DisconnectedGridError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CoverageGraph:
-    """Immutable topology of the free mega cells, stored as arrays.
+    """Immutable topology of mega's free cells, derived from its blocked mask:
+    one node per free mega cell, one edge per 4-adjacent free pair.
 
-    nodes is the (n, 2) array of mega (row, col), in row-major order. edges
-    is the (E, 2) array of node pairs (a, b) with a < b, in the canonical
-    order of _pair_mask. Edge costs depend on a weight spec: see weights().
+    nodes is the read-only (n, 2) int64 array of mega (row, col), in row-major
+    order. edges is the read-only (E, 2) int64 array of node pairs (a, b),
+    a < b, in the canonical order of _pair_mask: row-major, right then down,
+    so tie-breaking downstream is reproducible. Any mask, even one with no
+    free cell, gives its topology: the spanning-tree builders raise
+    DisconnectedGridError unless the free cells form one region. Edge costs
+    depend on a weight spec: see weights().
     """
 
     mega: MegaGrid
-    nodes: np.ndarray
-    edges: np.ndarray
+    nodes: np.ndarray = field(init=False)
+    edges: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("nodes", "edges"):
-            object.__setattr__(self, name, frozen(getattr(self, name), np.int64))
+        free = ~self.mega.blocked
+        node = np.cumsum(free) - 1
+        cell, down = np.divmod(np.flatnonzero(_pair_mask(free)), 2)
+        edges = np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1)
+        for name, array in (("nodes", np.column_stack(np.nonzero(free))), ("edges", edges)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def weights(self, spec: WeightSpec) -> np.ndarray:
         """edge_weights under spec of every edge, in canonical order."""
@@ -77,21 +87,8 @@ def _pair_mask(free: np.ndarray) -> np.ndarray:
 
 
 def build_graph(mega: MegaGrid) -> CoverageGraph:
-    """One node per free mega cell, one edge per 4-adjacent free pair.
-
-    Edges are enumerated row-major, right then down, so downstream
-    tie-breaking is reproducible. There is no connectivity check: any mask,
-    even one with no free cell, gives its topology, and the spanning-tree
-    builders raise DisconnectedGridError unless the free cells form one region.
-    """
-    free = ~mega.blocked
-    node = np.cumsum(free) - 1
-    cell, down = np.divmod(np.flatnonzero(_pair_mask(free)), 2)
-    edges = np.stack([node[cell], node[cell + np.where(down, free.shape[1], 1)]], axis=1)
-    nodes = np.column_stack(np.nonzero(free))
-    for array in (nodes, edges):
-        array.setflags(write=False)  # read-only and owning its memory: CoverageGraph keeps it
-    return CoverageGraph(mega=mega, nodes=nodes, edges=edges)
+    """The coverage graph of mega's free cells: CoverageGraph(mega=mega)."""
+    return CoverageGraph(mega=mega)
 
 
 def spanning_forest(n: int, a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:

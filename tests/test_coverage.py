@@ -404,6 +404,24 @@ class TestRouteBlocks:
                                              r"overflows, from height differences or from the spacing$"):
             path_cost(CoveragePath(cells=cells, closed=True), grid, spec)
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_a_cell_outside_the_grid_is_named_before_an_earlier_block_overflows(self, monkeypatch, block):
+        """The first step's weight overflows, in the first block, and the last
+        cell, in a later block, lies outside the grid: every cell is checked
+        before any block is priced, so the cell is the error."""
+        monkeypatch.setattr(coverage, "_ROUTE_BLOCK", block)
+        heights = np.zeros((2, 16))
+        heights[0, 0], heights[0, 1] = -1e308, 1e308
+        grid = HeightGrid(rows=2, cols=16, heights=heights.ravel().tolist(), obstacle=[False] * 32,
+                          spacing=1.0)
+        cells = [(0, c) for c in range(16)] + [(2, 15)]
+        spec = WeightSpec.PYTHAGORAS
+        with pytest.raises(ValueError, match=r"^path_cost is not finite \(inf\)"):
+            path_cost(CoveragePath(cells=cells[:-1], closed=False), grid, spec)
+        for closed in (True, False):
+            with pytest.raises(ValueError, match="^cell 2,15 lies outside the grid$"):
+                path_cost(CoveragePath(cells=cells, closed=closed), grid, spec)
+
     def test_a_route_of_more_than_two_blocks(self, tmp_path):
         grid = generate_terrain(TerrainGenSpec(rows=364, cols=364, seed=3, roughness=0.4))
         route = circumnavigate(tree_for(aggregate(grid)))

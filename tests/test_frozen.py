@@ -1,4 +1,4 @@
-"""The one rule by which grids, graphs, trees and routes store their arrays:
+"""The one rule by which grids, trees and routes store their arrays:
 a read-only array of the stored dtype that owns its memory is kept, and
 anything else is copied into one."""
 
@@ -30,10 +30,6 @@ _FIELDS = {
                          "heights", [[1.0, 2.0]], np.float64),
     "MegaGrid.blocked": (lambda v: MegaGrid(rows=1, cols=2, heights=[0.0] * 2, blocked=v, spacing=2.0),
                          "blocked", [[False, True]], bool),
-    "CoverageGraph.nodes": (lambda v: CoverageGraph(mega=_MEGA, nodes=v, edges=_GRAPH.edges),
-                            "nodes", [[0, 0], [0, 1]], np.int64),
-    "CoverageGraph.edges": (lambda v: CoverageGraph(mega=_MEGA, nodes=_GRAPH.nodes, edges=v),
-                            "edges", [[0, 1]], np.int64),
     "SpanningTree.edges": (lambda v: SpanningTree(graph=_GRAPH, edges=v), "edges", [0], np.int64),
     "CoveragePath.cells": (lambda v: CoveragePath(cells=v), "cells", [[0, 0], [0, 1]], np.int64),
 }
@@ -62,17 +58,6 @@ def test_grid_of_a_kept_column_major_array_of_another_shape_is_read_only():
     grid = HeightGrid(rows=2, cols=4, heights=heights, obstacle=[False] * 8, spacing=1.0)
     assert grid.heights.tolist() == np.arange(8.0).reshape(4, 2).reshape(2, 4).tolist()
     assert not grid.heights.flags.writeable
-
-
-def test_graph_of_lists_is_walked_and_a_callers_array_stays_its_own():
-    walked = circumnavigate(minimum_spanning_tree(_GRAPH, _GRAPH.weights(WeightSpec.PYTHAGORAS)))
-    g = CoverageGraph(mega=_MEGA, nodes=[[0, 0], [0, 1]], edges=[[0, 1]])
-    assert circumnavigate(SpanningTree(graph=g, edges=[0])).cells.tolist() == walked.cells.tolist()
-    nodes, edges = np.array([[0, 0], [0, 1]]), np.array([[0, 1]])
-    g = CoverageGraph(mega=_MEGA, nodes=nodes, edges=edges)
-    for given, stored in ((nodes, g.nodes), (edges, g.edges)):
-        assert given.flags.writeable and not np.shares_memory(given, stored)
-    assert circumnavigate(SpanningTree(graph=g, edges=[0])).cells.tolist() == walked.cells.tolist()
 
 
 def _trees(g: CoverageGraph) -> list[SpanningTree]:
@@ -107,13 +92,13 @@ def _kept(monkeypatch: pytest.MonkeyPatch, build) -> list[bool]:
 
 
 def test_builders_hand_over_arrays_the_containers_keep(monkeypatch):
-    """parse_height_grid, build_graph and circumnavigate freeze the arrays they
-    make before they construct, so no container copies them."""
+    """parse_height_grid and circumnavigate freeze the arrays they make before
+    they construct, so no container copies them."""
     grid = generate_terrain(TerrainGenSpec(rows=16, cols=16, seed=3, max_obstacles=2))
     assert grid.obstacle.any()
     text, m = format_height_grid(grid), aggregate(grid)
     trees = _trees(build_graph(m))
-    for build in [lambda: parse_height_grid(text), lambda: build_graph(m),
+    for build in [lambda: parse_height_grid(text),
                   *[lambda tree=tree: circumnavigate(tree) for tree in trees]]:
         kept = _kept(monkeypatch, build)
         assert kept and all(kept)

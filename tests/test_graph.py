@@ -136,6 +136,17 @@ def test_graph_is_topology_only():
     assert [w.tobytes() for w in together] == [g.weights(spec).tobytes() for spec in WeightSpec]
 
 
+def test_graph_is_derived_from_its_mega_grid():
+    """nodes and edges are not arguments, so no graph disagrees with its grid:
+    not one missing a free cell, nor one listing its nodes out of order."""
+    m = mega(np.zeros((1, 3)))
+    for nodes, edges in (([[0, 0], [0, 1]], [[0, 1]]), ([[0, 2], [0, 1], [0, 0]], [[0, 1], [1, 2]])):
+        with pytest.raises(TypeError):
+            CoverageGraph(mega=m, nodes=nodes, edges=edges)
+    g = CoverageGraph(mega=m)
+    assert (g.nodes.tolist(), g.edges.tolist()) == ([[0, 0], [0, 1], [0, 2]], [[0, 1], [1, 2]])
+
+
 def test_arrays_read_only():
     g = build_graph(mega(np.zeros((2, 2))))
     for array in (g.nodes, g.edges):
@@ -158,6 +169,10 @@ def test_arrays_match_independent_enumeration(seed, rows, cols, density, spec):
     m = mega(rng.normal(0.0, 3.0, (rows, cols)), blocked, spacing=float(rng.uniform(0.5, 3.0)))
     g = build_graph(m)
     cells, pairs = enumerate_edges(m)
+    derived = CoverageGraph(mega=m)  # the constructor and the exported builder, array for array
+    for name in ("nodes", "edges"):
+        mine, theirs = getattr(derived, name), getattr(g, name)
+        assert (mine.dtype, mine.shape, mine.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
     assert g.nodes.tolist() == [list(cell) for cell in cells]
     assert g.edges.tolist() == [list(pair) for pair in pairs]
     weights = g.weights(spec).tolist()

@@ -218,3 +218,17 @@ def test_bench_snapshot_runs_only_the_named_workloads(tmp_path, monkeypatch, cap
     with pytest.raises(SystemExit):
         module.main(["x", "--workload", "plan-2000"], run=fake_run)
     assert "invalid choice: 'plan-2000'" in capsys.readouterr().err
+
+
+def test_plan_peaks_reports_each_run_against_a_checkout(monkeypatch, capsys):
+    """Both methods in both checkouts, here the same one, one run each at 16^2."""
+    root = SCRIPTS.parent
+    monkeypatch.chdir(root)
+    script = runpy.run_path(str(SCRIPTS / "plan_peaks.py"))
+    assert script["main"](["16", "--against", str(root), "--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = ("here", script["short_sha"](root))  # this checkout first in round 0
+    assert [line.split(":")[0] for line in lines] == [
+        f"16^2 {method} run 0 {label}" for method in ("mst", "classical") for label in labels]
+    for line in lines:
+        assert re.fullmatch(r"16\^2 \w+ run 0 \S+: \d+\.\d MiB, \d+\.\d\d s, route same, stdout same", line)
