@@ -55,7 +55,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("size", type=int, help="fine-grid rows and columns of the terrain")
     parser.add_argument("--against", metavar="DIR", required=True, help="the other checkout")
-    parser.add_argument("--runs", type=int, default=RUNS, help=f"runs per checkout and method (default {RUNS})")
+    parser.add_argument("--runs", type=int, default=RUNS,
+                        help=f"runs per checkout and method (default {RUNS})")
     args = parser.parse_args(argv)
     roots = [Path.cwd(), Path(args.against).resolve()]
     for root in roots:
