@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Fresh-process peak memory and wall time of `plan`, this checkout against another.
 
-    python scripts/plan_peaks.py SIZE --against DIR [--runs N]
+    python scripts/plan_peaks.py SIZE --against DIR
 
 Run it from the root of a checkout. The seed-42 terrain of SIZE x SIZE fine
 cells (30 obstacles, roughness 0.3) is generated once, by DIR's
-`gen-terrain`. Then `plan --weight penalty` runs with each method N times
-(default 3) in each checkout, every run a fresh `python -m slopecover.cli`
-with PYTHONPATH set to that checkout's src/. The two checkouts take turns:
-this one first in even rounds and DIR first in odd ones. Each run prints
-the child's `ru_maxrss` from `os.wait4`, its wall time, and whether its
-route file and stdout are byte-identical to the first run of the same
-method; this checkout is labelled `here` and DIR by its short SHA. The
-exit code is 1 when a run failed or its bytes differ.
+`gen-terrain`. Then `plan --weight penalty` runs with each method 3 times in
+each checkout, every run a fresh `python -m slopecover.cli` with PYTHONPATH
+set to that checkout's src/. The two checkouts take turns as in
+bench_snapshot.py's `measure`: this one first in even rounds and DIR first
+in odd ones. Each run prints the child's `ru_maxrss` from `os.wait4`, its
+wall time, and whether its route file and stdout are byte-identical to the
+first run of the same method; this checkout is labelled `here` and DIR by
+its short SHA. The script stops with exit code 1 at the first run that
+fails or whose bytes differ.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import tempfile
 import time
 from pathlib import Path
 
-RUNS = 3
+from bench_snapshot import git, measure
+
+RUNS = 3  # per checkout and method
 METHODS = ("mst", "classical")
 TERRAIN = ("--seed", "42", "--obstacles", "30", "--roughness", "0.3")
 
@@ -44,54 +47,47 @@ def run_cli(root: Path, args: list[str], stdout: Path) -> tuple[int, float, floa
     return child.returncode, usage.ru_maxrss / 1024, wall
 
 
-def short_sha(root: Path) -> str:
-    """The short commit hash of the git checkout at root, or root itself."""
-    done = subprocess.run(["git", "-C", str(root), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() or str(root)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("size", type=int, help="fine-grid rows and columns of the terrain")
     parser.add_argument("--against", metavar="DIR", required=True, help="the other checkout")
-    parser.add_argument("--runs", type=int, default=RUNS,
-                        help=f"runs per checkout and method (default {RUNS})")
     args = parser.parse_args(argv)
     roots = [Path.cwd(), Path(args.against).resolve()]
     for root in roots:
         if not (root / "src/slopecover/cli.py").is_file():
             parser.error(f"{root} is not the root of a checkout (no src/slopecover/cli.py there)")
-    labels = ["here", short_sha(roots[1])]
-    failed = False
+    if roots[0] == roots[1]:
+        parser.error("DIR is this checkout")
+    labels = {roots[0]: "here", roots[1]: git(roots[1], "rev-parse", "--short", "HEAD") or str(roots[1])}
+    size = str(args.size)
     with tempfile.TemporaryDirectory(prefix="plan_peaks-") as work:
         work = Path(work)
         terrain, route, stdout = work / "terrain.txt", work / "route.txt", work / "stdout.txt"
-        size = str(args.size)
         code, _, _ = run_cli(roots[1], ["gen-terrain", "--rows", size, "--cols", size, *TERRAIN,
                                         "-o", str(terrain)], stdout)
         if code:
             print(f"gen-terrain exited {code}", file=sys.stderr)
             return 1
         first: dict[str, tuple[str, bytes]] = {}  # per method, the first run's route digest and stdout
-        for k in range(args.runs):
-            for method in METHODS:
-                for side in ((0, 1) if k % 2 == 0 else (1, 0)):
-                    code, peak, wall = run_cli(roots[side], ["plan", "--terrain", str(terrain), "--weight",
-                                                             "penalty", "--method", method, "-o", str(route)],
-                                               stdout)
-                    output = (hashlib.sha256(route.read_bytes()).hexdigest() if not code else "",
-                              stdout.read_bytes())
-                    route.unlink(missing_ok=True)
-                    reference = first.setdefault(method, output)
-                    same = [part == expected for part, expected in zip(output, reference)]
-                    failed |= bool(code) or not all(same)
-                    verdicts = ", ".join(f"{name} {'same' if ok else 'differs'}"
-                                         for name, ok in zip(("route", "stdout"), same))
-                    status = f"exit {code}" if code else verdicts
-                    print(f"{size}^2 {method} run {k} {labels[side]}: {peak:.1f} MiB, {wall:.2f} s, {status}",
-                          flush=True)
-    return 1 if failed else 0
+
+        def run(method: str, root: Path) -> dict:
+            code, peak, wall = run_cli(root, ["plan", "--terrain", str(terrain), "--weight", "penalty",
+                                              "--method", method, "-o", str(route)], stdout)
+            output = (hashlib.sha256(route.read_bytes()).hexdigest() if not code else "",
+                      stdout.read_bytes())
+            route.unlink(missing_ok=True)
+            same = [part == expected for part, expected in zip(output, first.setdefault(method, output))]
+            status = f"exit {code}" if code else ", ".join(
+                f"{name} {'same' if ok else 'differs'}" for name, ok in zip(("route", "stdout"), same))
+            print(f"{size}^2 {method} {labels[root]}: {peak:.1f} MiB, {wall:.2f} s, {status}", flush=True)
+            return {"correct": not code and all(same), "failed": 1, "attempted": 1, "metrics": {}}
+
+        try:
+            measure(roots, RUNS, run, METHODS)
+        except RuntimeError as error:
+            print(error, file=sys.stderr)
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ import json
 import os
 import re
 import runpy
+import shutil
 import statistics
 import sys
 import xml.etree.ElementTree as ET
@@ -65,8 +66,8 @@ def test_run_full_benchmark_below_three_terrains_omits_correlations(tmp_path, mo
     assert "# correlation" not in out.read_text()
 
 
-def load_bench_snapshot():
-    spec = importlib.util.spec_from_file_location("bench_snapshot", SCRIPTS / "bench_snapshot.py")
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -83,7 +84,7 @@ def fake_checkout(root: Path, exported: list[str]) -> Path:
 
 def test_bench_snapshot_writes_medians_and_source_size(tmp_path, monkeypatch, capsys):
     """The snapshot script on a stubbed benchmark runner, so nothing is timed."""
-    module = load_bench_snapshot()
+    module = load_script("bench_snapshot")
     fake_checkout(tmp_path, ["a", "b"])
     monkeypatch.chdir(tmp_path)
     calls = []
@@ -119,7 +120,7 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
     end-to-end metric, both medians, the median of the per-pair differences
     (this checkout minus the other), the pairs won and lost and the other
     checkout's interquartile range."""
-    module = load_bench_snapshot()
+    module = load_script("bench_snapshot")
     here = fake_checkout(tmp_path / "here", ["a", "b"])
     there = fake_checkout(tmp_path / "there", ["a", "b", "c"])
     (tmp_path / "bare").mkdir()
@@ -192,7 +193,7 @@ def test_bench_snapshot_against_alternates_the_two_checkouts(tmp_path, monkeypat
 def test_bench_snapshot_runs_only_the_named_workloads(tmp_path, monkeypatch, capsys):
     """--workload, repeated, runs the workloads named, in the usual turn order,
     for both checkouts; the files and the printed pairs hold only them."""
-    module = load_bench_snapshot()
+    module = load_script("bench_snapshot")
     here = fake_checkout(tmp_path / "here", ["a"])
     there = fake_checkout(tmp_path / "there", ["a"])
     monkeypatch.setattr(module, "git", lambda root, *args: "0a1b2c3" if root == there else None)
@@ -220,15 +221,21 @@ def test_bench_snapshot_runs_only_the_named_workloads(tmp_path, monkeypatch, cap
     assert "invalid choice: 'plan-2000'" in capsys.readouterr().err
 
 
-def test_plan_peaks_reports_each_run_against_a_checkout(monkeypatch, capsys):
-    """Both methods in both checkouts, here the same one, one run each at 16^2."""
+def test_plan_peaks_reports_each_run_against_a_checkout(tmp_path, monkeypatch, capsys):
+    """Both methods in this checkout and in a copy of its src/, one run each at 16^2."""
     root = SCRIPTS.parent
     monkeypatch.chdir(root)
-    script = runpy.run_path(str(SCRIPTS / "plan_peaks.py"))
-    assert script["main"](["16", "--against", str(root), "--runs", "1"]) == 0
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # plan_peaks imports bench_snapshot
+    module = load_script("plan_peaks")
+    monkeypatch.setattr(module, "RUNS", 1)
+    with pytest.raises(SystemExit):
+        module.main(["16", "--against", str(root)])
+    assert "DIR is this checkout" in capsys.readouterr().err
+    shutil.copytree(root / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    assert module.main(["16", "--against", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    labels = ("here", script["short_sha"](root))  # this checkout first in round 0
-    assert [line.split(":")[0] for line in lines] == [
-        f"16^2 {method} run 0 {label}" for method in ("mst", "classical") for label in labels]
+    other = module.git(tmp_path, "rev-parse", "--short", "HEAD") or str(tmp_path)
+    assert [line.rsplit(": ", 1)[0] for line in lines] == [  # this checkout first in round 0
+        f"16^2 {method} {label}" for method in ("mst", "classical") for label in ("here", other)]
     for line in lines:
-        assert re.fullmatch(r"16\^2 \w+ run 0 \S+: \d+\.\d MiB, \d+\.\d\d s, route same, stdout same", line)
+        assert re.fullmatch(r".*: \d+\.\d MiB, \d+\.\d\d s, route same, stdout same", line)
